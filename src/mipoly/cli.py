@@ -113,6 +113,14 @@ def _parse_point_and_set(args) -> Tuple[ParamPoint, IndexSet]:
     return pp, D
 
 
+def _check_counts(args) -> None:
+    """Reject counts that would make every check pass vacuously."""
+    if args.nmax < 0:
+        raise ConfigError(f"--nmax must be >= 0, got {args.nmax}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+
+
 def _check_row(name: str, ok: bool, detail: str) -> Check:
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
@@ -630,6 +638,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_counts(args)
         doc, code = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"mipoly: {exc}", file=sys.stderr)

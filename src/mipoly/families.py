@@ -58,6 +58,7 @@ def _nonzero(x: Fraction, what: str) -> Fraction:
     return x
 
 
+@functools.lru_cache(maxsize=None)
 def recurrence_abc(pp: ParamPoint, n: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(A_n, B_n, C_n) of the three-term recurrence; A_{-1} = 0 by fiat."""
     if n < 0:

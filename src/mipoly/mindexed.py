@@ -146,6 +146,13 @@ def _xi_gauge(pp: ParamPoint, D: IndexSet, shift: Fraction) -> GaugedFn:
 HALF = Fraction(1, 2)
 
 
+def _degree_mismatch(name: str, p: Poly, want: int | str, D: IndexSet) -> str:
+    if p.is_zero():   # its degree is NEG_INF, which would print as -inf
+        return f"{name} is identically zero (expected degree {want}) " \
+            f"for {D.label()}"
+    return f"{name} degree {p.degree} != {want} for {D.label()}"
+
+
 @functools.lru_cache(maxsize=None)
 def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
     """The denominator polynomial Xi_D, of degree ell(D)."""
@@ -153,8 +160,7 @@ def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
     w = wronskian(seed_functions(pp, D))
     xi = (w * _xi_gauge(pp, D, -HALF)).as_poly()
     if check_leading and xi.degree != D.ell:
-        raise DegenerateLeading(
-            f"Xi degree {xi.degree} != ell = {D.ell} for {D.label()}")
+        raise DegenerateLeading(_degree_mismatch("Xi", xi, f"ell = {D.ell}", D))
     return xi
 
 
@@ -170,7 +176,7 @@ def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
     p = (w * _xi_gauge(pp, D, HALF)).as_poly()
     if check_leading and p.degree != D.ell + n:
         raise DegenerateLeading(
-            f"P_(D,{n}) degree {p.degree} != {D.ell + n} for {D.label()}")
+            _degree_mismatch(f"P_(D,{n})", p, D.ell + n, D))
     return p
 
 

@@ -23,8 +23,9 @@ independent routes to the r_{n,k} live here:
   the classical basis, and r_{n,k} = r0_{n,k} / pi_D(n+k)
   (``recurrence_via_theta``).
 
-The third route (matrices of shift operators) is in
-:mod:`mipoly.shiftalg` and consumes the Theta built here.
+The third route (the index-shift action of Theta) is in
+:mod:`mipoly.shiftalg` and consumes the Theta built here; ``theta_op``
+is cached, so both routes share one Theta per (point, index set, Y).
 
 Membership of a polynomial in span{P_{D,n}} is decidable without any
 expansion: q belongs to the span iff
@@ -39,6 +40,7 @@ identically-zero basis members.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, List
 
@@ -105,8 +107,13 @@ def theta_from_x(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
     return op
 
 
+@functools.lru_cache(maxsize=None)
 def theta_op(pp: ParamPoint, D: IndexSet, Y: Poly) -> DiffOp:
-    """Theta for the admissible X built from the seed polynomial Y."""
+    """Theta for the admissible X built from the seed polynomial Y.
+
+    Cached: one Theta serves the operator route, the matrix route and
+    every row n.
+    """
     return theta_from_x(pp, D, x_from_y(pp, D, Y))
 
 

@@ -3,34 +3,39 @@
 Multiplication by eta and differentiation both act on a classical family
 {P_n} purely through index shifts: the three-term recurrence writes
 eta P_n over P_{n+1}, P_n, P_{n-1}, and the derivative expansion writes
-P_n' over lower members.  Realizing the two actions as exact matrices on
-a truncated slice of the basis turns every polynomial-coefficient
-operator in (eta, d/deta) into a banded matrix whose columns are basis
-expansions -- a route to the recurrence coefficients that never touches
-the deformed polynomials directly.
+P_n' over lower members.  Every polynomial-coefficient operator
+sum_{i,j} F_ij eta^i d^j in (eta, d/deta) therefore acts on a basis
+expansion through these two actions alone -- a route to the recurrence
+coefficients that never touches the deformed polynomials, nor any
+polynomial in eta.
 
-Two bookkeeping facts drive the implementation.  First, composition of
-index-shift actions reverses order under the matrix translation: if S
-and T act on the family and ST means "T first", then the matrix of ST is
-mat(T) @ mat(S).  Consequently an operator sum_{i,j} F_ij eta^i d^j goes
-to sum_{i,j} F_ij mat(eta-action)^i mat(derivative-action)^j with the
-eta-power on the left.  Second, truncation spoils the trailing columns
-of anything that raises the degree, so every matrix carries a safe
-window (the largest trustworthy column) and an upward bandwidth, both
-propagated through sums and products; reading beyond the window raises
-instead of returning silently wrong entries.
+The matrix route is a column action.  Column n of the operator's shift
+matrix is the expansion of its image of P_n: apply the derivative action
+j times to the basis vector e_n, then sum_i F_ij (eta-action)^i by
+Horner, and add over j.  Both actions are exact on sparse columns, so
+nothing is truncated and no matrix is assembled (``column_action``).
+Composition of index-shift actions reverses order under the matrix
+translation: if S and T act on the family and ST means "T first", then
+the matrix of ST is mat(T) @ mat(S), which is why the eta-powers sit to
+the left of the derivative powers.
 
-The normal-ordered shift layer at the bottom implements substitution
+The dense matrices (``OpMatrix``) on a truncated slice of the basis
+serve the commutator and power-formula checks.  Truncation spoils the
+trailing columns of anything that raises the degree, so every matrix
+carries a safe window (the largest trustworthy column) and an upward
+bandwidth, both propagated through sums and products; reading beyond
+the window raises instead of returning silently wrong entries.
+``flat_map`` packs the column action into such a matrix.
+
+The normal-ordered shift layer implements substitution
 operators f(n) |-> f(n + g(n)) on polynomials in the index, with their
 star-product composition law.  It exists to verify the shift calculus
 (composition identities, collapse to evaluation, commutator cross
 terms) on explicit functions, independently of any matrix truncation.
 """
-
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -39,7 +44,7 @@ from .diffop import DiffOp
 from .exact import ParamPoint, Poly
 from .families import GenericityViolation, cnk, recurrence_abc
 from .mindexed import IndexSet, pi_factor
-from .recurrence import recurrence_order, theta_op
+from .recurrence import theta_op
 
 
 class SafeWindowExhausted(RuntimeError):
@@ -347,62 +352,95 @@ def power_formulas_check(pp: ParamPoint, size: int, imax: int = 3) -> Report:
     return out
 
 
-# -- operators in (eta, d/deta) as index-shift matrices ----------------------
+# -- operators in (eta, d/deta) as index-shift actions -----------------------
+
+Column = Dict[int, Fraction]   # basis expansion: m -> coefficient of P_m
+
+
+def _eta_column(pp: ParamPoint, col: Column) -> Column:
+    """eta-multiplication: eta P_m = A_m P_{m+1} + B_m P_m + C_m P_{m-1}."""
+    out: Column = {}
+    for m, v in col.items():
+        A, B, C = recurrence_abc(pp, m)
+        for row, c in ((m + 1, A), (m, B), (m - 1, C)):
+            if c and row >= 0:
+                out[row] = out.get(row, 0) + v * c
+    return out
+
+
+def _derivative_column(pp: ParamPoint, col: Column) -> Column:
+    """Differentiation: P_m' = sum_{k=1}^{m} c_{m,k} P_{m-k}."""
+    out: Column = {}
+    for m, v in col.items():
+        for k in range(1, m + 1):
+            c = cnk(pp, m, k)
+            if c:
+                out[m - k] = out.get(m - k, 0) + v * c
+    return out
+
+
+def column_action(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
+    """Expansion of theta P_n over {P_m}, nonzero entries only.
+
+    Writes theta = sum_{i,j} F_ij eta^i d^j; the derivative action runs
+    j times on e_n, then sum_i F_ij eta^i by Horner in the eta-action.
+    """
+    total: Column = {}
+    dcol: Column = {n: Fraction(1)}
+    for j, cj in enumerate(theta.poly_coeffs()):
+        if j > 0:
+            dcol = _derivative_column(pp, dcol)
+            if not dcol:
+                break
+        if cj.is_zero():
+            continue
+        cs = cj.coeffs
+        inner = {m: cs[-1] * v for m, v in dcol.items()}
+        for coeff in reversed(cs[:-1]):
+            inner = _eta_column(pp, inner)
+            if coeff:
+                for m, v in dcol.items():
+                    inner[m] = inner.get(m, 0) + coeff * v
+        for m, v in inner.items():
+            total[m] = total.get(m, 0) + v
+    return {m: v for m, v in sorted(total.items()) if v}
 
 
 def flat_map(theta: DiffOp, pp: ParamPoint, size: int) -> OpMatrix:
     """Matrix of a polynomial-coefficient operator's action on {P_n}.
 
-    Writes theta = sum_{i,j} F_ij eta^i d^j and assembles
-    sum_j (sum_i F_ij mat(eta)^i) mat(d)^j; the reversed product order
-    is forced by the anti-homomorphism of the matrix translation.
+    Column n is ``column_action`` restricted to rows below `size`.  It
+    holds the whole image of P_n for n up to the safe window
+    size - 1 - (largest degree of a coefficient of theta).
     """
     polys = theta.poly_coeffs()
-    delta = delta_matrix(pp, size)
-    ident = OpMatrix.identity(size)
-    gamma = gamma_matrix(pp, size)
-    total = OpMatrix.zero(size)
-    gpow = ident
-    for j, cj in enumerate(polys):
-        if j > 0:
-            gpow = gpow * gamma
-        if cj.is_zero():
-            continue
-        cs = cj.coeffs
-        inner = ident.scaled(cs[-1])
-        for coeff in reversed(cs[:-1]):
-            inner = inner * delta + ident.scaled(coeff)
-        total = total + inner * gpow
-    return total
+    terms = [(j, p.degree) for j, p in enumerate(polys) if not p.is_zero()]
+    imax = max((i for _, i in terms), default=0)
+    entries = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(size):
+        for m, v in column_action(theta, pp, n).items():
+            if m < size:
+                entries[m][n] = v
+    return OpMatrix(entries, size - 1 - imax,
+                    max((i - j for j, i in terms), default=-size))
 
 
 def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,
                           n: int) -> Dict[int, Fraction]:
-    """r_{n,k} read off the index-shift matrix of the conjugated operator.
+    """r_{n,k} read off the index-shift action of the conjugated operator.
 
-    Column n of the matrix expands the operator image of P_n over the
+    Column n of the action expands the operator image of P_n over the
     classical family; dividing each row m by the eigenvalue product at m
-    yields the recurrence coefficients.  The matrix is built just large
-    enough that column n survives truncation.
+    yields the recurrence coefficients.  Every nonzero entry of the
+    column is returned, so an entry outside |k| <= L shows up as a
+    disagreement with the other routes instead of being dropped.
     """
-    theta = theta_op(pp, D, Y)
-    L = recurrence_order(D, Y)
-    polys = theta.poly_coeffs()
-    imax = max((p.degree for p in polys if not p.is_zero()), default=0)
-    size = n + int(imax) + L + 2
-    flat = flat_map(theta, pp, size)
     out: Dict[int, Fraction] = {}
-    for k in range(-L, L + 1):
-        m = n + k
-        if m < 0:
-            continue
-        v = flat.entry(m, n)
-        if v == 0:
-            continue
+    for m, v in column_action(theta_op(pp, D, Y), pp, n).items():
         pi = pi_factor(pp, D, m)
         if pi == 0:
             raise GenericityViolation(
                 f"pi_D({m}) = 0; cannot divide the matrix route "
                 f"for {D.label()}")
-        out[k] = v / pi
+        out[m - n] = v / pi
     return out

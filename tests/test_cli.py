@@ -11,6 +11,7 @@ import pytest
 
 from mipoly.cli import main
 from mipoly.exact import rat_str
+from mipoly.recurrence import theta_op
 
 
 def run_json(capsys, argv):
@@ -131,7 +132,39 @@ def test_recurrence_raw_x_admissible_matches_y_route(capsys):
     assert doc_x["results"]["order"] == doc_y["results"]["order"]
 
 
+def test_recurrence_builds_theta_once(capsys):
+    theta_op.cache_clear()
+    code, _ = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
+                                "--indices", "1I,2II", "--y", "0,1",
+                                "--nmax", "3"])
+    assert code == 0
+    assert theta_op.cache_info().misses == 1
+
+
+def test_recurrence_names_identically_zero_member(capsys):
+    code, doc = run_json(capsys, ["recurrence", "--family", "L",
+                                  "--g", "-3/2", "--indices", "2II"])
+    assert code == 1
+    row = [c for c in doc["checks"] if c["name"] == "genericity"][0]
+    assert "is identically zero" in row["detail"]
+    assert "inf" not in row["detail"]
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--family", "L", "--g", "7/3", "--indices", "1I"],
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I"],
+])
+def test_negative_nmax_is_a_config_error(capsys, command):
+    assert main(command + ["--nmax", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- verify ------------------------------------------------------------------
+
+
+def test_verify_rejects_zero_samples(capsys):
+    assert main(["verify", "--suite", "families", "--samples", "0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_wronskian_seeded_deterministic(capsys):

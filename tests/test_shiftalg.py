@@ -23,7 +23,13 @@ from mipoly.families import (
     recurrence_abc,
 )
 from mipoly.mindexed import IndexSet
-from mipoly.recurrence import recurrence_direct, recurrence_via_theta, theta_op
+import mipoly.shiftalg as shiftalg
+from mipoly.recurrence import (
+    recurrence_direct,
+    recurrence_order,
+    recurrence_via_theta,
+    theta_op,
+)
 from mipoly.shiftalg import (
     NormalOrderedShift,
     OpMatrix,
@@ -247,7 +253,48 @@ def test_flat_map_action_matches_operator(pp):
         assert _col_dict(flat, n) == expand_in_classical(pp, image), n
 
 
+def _dense_flat(theta, pp, size):
+    """Reference: sum_j (sum_i F_ij mat(eta)^i) mat(d)^j by dense products."""
+    delta, gamma = delta_matrix(pp, size), gamma_matrix(pp, size)
+    ident = OpMatrix.identity(size)
+    total, gpow = OpMatrix.zero(size), ident
+    for j, cj in enumerate(theta.poly_coeffs()):
+        if j > 0:
+            gpow = gpow * gamma
+        if cj.is_zero():
+            continue
+        inner = ident.scaled(cj.coeffs[-1])
+        for coeff in reversed(cj.coeffs[:-1]):
+            inner = inner * delta + ident.scaled(coeff)
+        total = total + inner * gpow
+    return total
+
+
+@pytest.mark.parametrize("pp", [LG, JG])
+def test_column_action_matches_dense_products(pp):
+    # two-seed Theta: the column action packed by flat_map must agree
+    # with the dense matrix products on the whole safe window
+    theta = theta_op(pp, IndexSet(pp.family, (1,), (2,)), Poly.one())
+    imax = max(c.degree for c in theta.poly_coeffs())
+    size = imax + 6
+    flat, dense = flat_map(theta, pp, size), _dense_flat(theta, pp, size)
+    assert flat.safe == dense.safe == 5
+    assert flat.agrees_with(dense)
+
+
 # -- recurrence coefficients from the matrix route ----------------------------
+
+
+def test_matrix_route_returns_whole_column(monkeypatch):
+    # an operator wider than the recurrence order: its outer entries
+    # surface as extra keys instead of being cut to |k| <= L
+    D = IndexSet("L", (1,), ())
+    assert recurrence_order(D, Poly.one()) == 2
+    monkeypatch.setattr(shiftalg, "theta_op",
+                        lambda pp, D, Y: DiffOp([ETA ** 3]))
+    got = recurrence_bispectral(LG, D, Poly.one(), 4)
+    assert {-3, 3} <= set(got)
+    assert got != recurrence_direct(LG, D, Poly.one(), 4)
 
 
 @pytest.mark.parametrize("pp", [LG, JG])
