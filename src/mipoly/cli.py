@@ -330,6 +330,16 @@ def _deformed_cases(samples: int) -> List[Tuple[ParamPoint, IndexSet]]:
     return cases
 
 
+def _point_label(pp: ParamPoint, sep: str = " ",
+                 D: Optional[IndexSet] = None) -> str:
+    """Check-row label of a point: L g=7/3, or J,1I,2II,g=7/3,h=9/4 with
+    sep "," and an index set."""
+    parts = [pp.family] + ([D.label()] if D is not None else [])
+    parts += [f"{name}={rat_str(v)}" for name, v in (("g", pp.g), ("h", pp.h))
+              if v is not None]
+    return sep.join(parts)
+
+
 def _suite_wronskian(args) -> Report:
     return wronskian_identities_check(seed=args.seed, trials=10 * args.samples)
 
@@ -349,9 +359,7 @@ def _suite_families(args) -> Report:
             want = {n - k: cnk(pp, n, k) for k in range(1, n + 1)
                     if cnk(pp, n, k) != 0}
             ok_deriv = ok_deriv and expand_in_classical(pp, dP) == want
-        label = pp.family if pp.family == "H" else \
-            f"{pp.family} g={rat_str(pp.g)}" + \
-            (f" h={rat_str(pp.h)}" if pp.h is not None else "")
+        label = _point_label(pp)
         report.append((f"three_term[{label}]", ok_trr, f"n <= {args.nmax}"))
         report.append((f"derivative_expansion[{label}]", ok_deriv,
                        f"n <= {args.nmax}"))
@@ -369,11 +377,8 @@ def _suite_mindexed(args) -> Report:
             ok = ok and p.degree == D.ell + n and p.lc() == p_leading(pp, D, n)
         ok = ok and mi_poly(pp, D, 0) == \
             plusdelta_constant(pp, D) * xi_poly(delta_shift(pp), D)
-        report.append((f"construction[{D.family},{D.label()},"
-                       f"g={rat_str(pp.g)}"
-                       + (f",h={rat_str(pp.h)}" if pp.h is not None else "")
-                       + "]",
-                       ok, f"degrees, leadings, lowest member; n <= {nmax}"))
+        report.append((f"construction[{_point_label(pp, ',', D)}]", ok,
+                       f"degrees, leadings, lowest member; n <= {nmax}"))
     return report
 
 
@@ -392,11 +397,8 @@ def _suite_diffop(args) -> Report:
             ok = ok and H.apply(PDn).as_poly() == energy(pp, n) * PDn
         ok = ok and backward_apply_via_wronskian(pp, D, Poly([3, -2, 1])) \
             == bhat.apply(Poly([3, -2, 1]))
-        report.append((f"intertwining[{D.family},{D.label()},"
-                       f"g={rat_str(pp.g)}"
-                       + (f",h={rat_str(pp.h)}" if pp.h is not None else "")
-                       + "]",
-                       ok, f"forward/backward/eigen; n <= {nmax}"))
+        report.append((f"intertwining[{_point_label(pp, ',', D)}]", ok,
+                       f"forward/backward/eigen; n <= {nmax}"))
     return report
 
 
@@ -410,11 +412,9 @@ def _suite_recurrence(args) -> Report:
                 direct = recurrence_direct(pp, D, Y, n)
                 ok = ok and direct == recurrence_via_theta(pp, D, Y, n)
                 ok = ok and direct == recurrence_bispectral(pp, D, Y, n)
-            report.append((f"routes[{D.family},{D.label()},"
-                           f"g={rat_str(pp.g)}"
-                           + (f",h={rat_str(pp.h)}" if pp.h is not None else "")
-                           + f",degY={Y.degree}]",
-                           ok, f"three routes agree for n <= {nmax}"))
+            label = f"{_point_label(pp, ',', D)},degY={Y.degree}"
+            report.append((f"routes[{label}]", ok,
+                           f"three routes agree for n <= {nmax}"))
     return report
 
 
@@ -433,10 +433,7 @@ def _suite_bnk(args) -> Report:
     for pp in _sample_points(min(args.samples, 3)):
         bad = [(n, k) for n in range(args.nmax + 1)
                for k in range(1, n + 1) if bnk_value(pp, n, k) != 0]
-        label = pp.family if pp.family == "H" else \
-            f"{pp.family} g={rat_str(pp.g)}" + \
-            (f" h={rat_str(pp.h)}" if pp.h is not None else "")
-        report.append((f"cross_terms[{label}]", not bad,
+        report.append((f"cross_terms[{_point_label(pp)}]", not bad,
                        f"b(n,k) = 0 for 1 <= k <= n <= {args.nmax}"
                        + (f"; first violation {bad[0]}" if bad else "")))
     return report

@@ -1,9 +1,17 @@
 """Differential operators: forward/backward maps and the deformed Hamiltonian.
 
-:class:`DiffOp` is an ordinary differential operator sum_i c_i(eta) d^i
-with rational-function coefficients, supporting application to
-polynomials/rational functions, composition (Leibniz), sums, and left
-multiplication by functions.
+:class:`DiffOp` is an ordinary differential operator with one explicit
+common denominator,
+
+    (1/den) sum_i nums[i](eta) d^i,
+
+stored as polynomial numerators over a monic den in lowest terms (no
+factor of den divides every numerator), so equal operators have equal
+fields.  Application, composition (Leibniz on the numerators, with a
+quotient-rule ladder for the derivatives of the right operand's
+coefficients), sums and left multiplication work on the numerators and
+normalize once, at the end.  ``coeffs`` and ``coeff(i)`` give the reduced
+coefficients nums[i]/den as rational functions.
 
 The two Wronskian-built operators intertwine the classical family P_n
 with the multi-indexed family P_{D,n}:
@@ -12,33 +20,47 @@ with the multi-indexed family P_{D,n}:
   expanding W[mu_1, ..., mu_M, *] along the last column -- the i-th
   coefficient is the (M+i)-signed minor over derivative rows {0..M}
   minus {i} -- times the same compensating gauge that makes P_{D,n} a
-  polynomial.  The coefficients are guaranteed polynomials; a leftover
-  denominator raises :class:`~mipoly.gauged.NotPolynomial`.
+  polynomial.  The coefficients are guaranteed polynomials (den = 1); a
+  leftover denominator raises :class:`~mipoly.gauged.NotPolynomial`.
 
 * ``backward_op`` Bhat:  Bhat P_{D,n} = pi_D(n) P_n, built the same way
   from the dual seeds m_j with the prefactor rho_B carrying 1/Xi^M.  Its
-  coefficients are rational with denominators dividing Xi_D^M; anything
-  else raises :class:`DenominatorEscape`.
+  numerators are built over Xi_D^M directly, by exact division of Xi^M
+  by each cofactor's denominator, so its one denominator divides Xi^M by
+  construction; a cofactor denominator that does not divide Xi^M raises
+  :class:`DenominatorEscape`.  Theta = Bhat o X o Fhat is then composed
+  over Xi^M with no gcd before the final lowest-terms step.
 
-``htilde_op`` is the gauged Hamiltonian with H P_{D,n} = E_n P_{D,n}:
+``htilde_op`` is the gauged Hamiltonian with H P_{D,n} = E_n P_{D,n},
+with numerators over Xi:
 
-    -1/4 H = c_2 d^2 + (c_1[shifted] - 2 c_2 Xi'/Xi) d
-             + c_2 Xi''/Xi - c_1[shifted - delta] Xi'/Xi
+    -1/4 H = (1/Xi) [ c_2 Xi d^2 + (c_1[shifted] Xi - 2 c_2 Xi') d
+                      + c_2 Xi'' - c_1[shifted - delta] Xi' ]
 
 with c_1 evaluated at lambda^{[s1, s2]}.  ``single_step_forward`` /
 ``single_step_backward`` are the first-order ladder operators shifting
 lambda by delta, with eigenvalue factors f_n, b_n such that
-f_n b_{n-1} = E_n, and B o F = H exactly as operators.
+f_n b_{n-1} = E_n, and B o F = H exactly as operators; F has numerators
+over Xi and B over Xi(lambda + delta).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from .exact import ParamPoint, Poly, RatFunc, poly_divmod
+from .exact import (
+    ONE,
+    ParamPoint,
+    Poly,
+    RatFunc,
+    differentiate,
+    poly_divmod,
+    poly_gcd,
+)
 from .families import (
     c_factor,
     delta_shift,
@@ -47,7 +69,14 @@ from .families import (
     shifted_params,
 )
 from .gauged import GaugedFn, wronskian_rows
-from .mindexed import IndexSet, mj_function, seed_functions, xi_poly
+from .mindexed import (
+    HALF,
+    IndexSet,
+    _xi_gauge,
+    mj_function,
+    seed_functions,
+    xi_poly,
+)
 
 
 class DenominatorEscape(ValueError):
@@ -57,24 +86,61 @@ class DenominatorEscape(ValueError):
 CoeffLike = Union[RatFunc, Poly, int, str, Fraction]
 
 
-def _rf(x: CoeffLike) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    return RatFunc(Poly.const(x))
+def _lowest(nums: List[Poly], den: Poly) -> Tuple[Tuple[Poly, ...], Poly]:
+    """Drop trailing zeros, cancel the factor den shares with every
+    numerator, and make den monic."""
+    while nums and nums[-1].is_zero():
+        nums.pop()
+    if not nums:
+        return (), Poly.one()
+    g = den
+    for n in nums:
+        if g.degree <= 0:
+            break
+        if not poly_divmod(n, g)[1].is_zero():
+            g = poly_gcd(g, n)
+    if g.degree > 0:
+        nums = [poly_divmod(n, g)[0] for n in nums]
+        den = poly_divmod(den, g)[0]
+    inv = 1 / den.lc()
+    if inv != 1:
+        nums = [n * inv for n in nums]
+        den = den * inv
+    return tuple(nums), den
+
+
+def _quotient_ladder(b: Poly, t: Poly, m: int) -> List[Poly]:
+    """beta_0, ..., beta_m with (b/t)^(k) = beta_k / t^(k+1)."""
+    out = [b]
+    dt = differentiate(t)
+    for k in range(m):
+        beta = differentiate(out[-1])
+        if not dt.is_zero():
+            beta = t * beta - (k + 1) * dt * out[-1]
+        out.append(beta)
+    return out
 
 
 class DiffOp:
-    """sum_i coeffs[i] * d^i/deta^i with RatFunc coefficients."""
+    """(1/den) sum_i nums[i] d^i/deta^i in lowest terms, den monic.
 
-    __slots__ = ("coeffs",)
+    Built from a list of coefficients (RatFunc, Poly or scalars), over an
+    optional extra denominator: DiffOp(coeffs, den) is
+    sum_i (coeffs[i] / den) d^i.
+    """
 
-    def __init__(self, coeffs: Sequence[CoeffLike] = ()):
-        cs = [_rf(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs: Sequence[CoeffLike] = (), den: Poly = ONE):
+        rs = [RatFunc.of(c) for c in coeffs]
+        common = Poly.one()
+        for r in rs:
+            if not poly_divmod(common, r.den)[1].is_zero():
+                common = common * r.den
+        nums = [r.num * poly_divmod(common, r.den)[0] for r in rs]
+        nums, common = _lowest(nums, common * den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", common)
 
     @staticmethod
     def identity() -> "DiffOp":
@@ -86,70 +152,91 @@ class DiffOp:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> Tuple[RatFunc, ...]:
+        """The coefficients nums[i] / den, each in lowest terms."""
+        return tuple(RatFunc(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, i: int) -> RatFunc:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return RatFunc(self.nums[i], self.den)
         return RatFunc(Poly.zero())
 
-    def apply(self, q: Union[Poly, RatFunc]) -> RatFunc:
-        f = _rf(q)
-        total = RatFunc(Poly.zero())
-        for c in self.coeffs:
-            if not c.is_zero():
-                total = total + c * f
-            f = f.deriv()
-        return total
+    def apply(self, q: Poly) -> RatFunc:
+        total = Poly.zero()
+        for n in self.nums:
+            if not n.is_zero():
+                total = total + n * q
+            q = differentiate(q)
+        return RatFunc(total, self.den)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            a = [n * other.den for n in a]
+            b = [n * den for n in b]
+            den = den * other.den
+        return DiffOp([x + y for x, y in
+                       itertools.zip_longest(a, b, fillvalue=Poly.zero())], den)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp([-c for c in self.coeffs])
+        return DiffOp([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
 
     def left_mul(self, f: CoeffLike) -> "DiffOp":
         """The operator q |-> f * (self q)."""
-        g = _rf(f)
-        return DiffOp([g * c for c in self.coeffs])
+        g = RatFunc.of(f)
+        return DiffOp([g.num * n for n in self.nums], self.den * g.den)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """self o other: (self.compose(other))(q) = self(other(q))."""
-        out = [RatFunc(Poly.zero())] * (self.order + other.order + 1) \
-            if self.coeffs and other.coeffs else []
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
+        """self o other: (self.compose(other))(q) = self(other(q)).
+
+        Leibniz on the numerators: with other = (1/t) sum_j b_j d^j, the
+        derivatives (b_j/t)^(k) = beta_jk / t^(k+1) all go over
+        t^(order + 1), so the product has the denominator
+        self.den * t^(order + 1) until the final lowest-terms step.
+        """
+        if self.is_zero() or other.is_zero():
+            return DiffOp()
+        top, t = self.order, other.den
+        ladders = [_quotient_ladder(b, t, top) for b in other.nums]
+        tp = [Poly.one()]
+        for _ in range(top + 1):
+            tp.append(tp[-1] * t)
+        out = [Poly.zero()] * (top + other.order + 1)
+        for i, a in enumerate(self.nums):
+            if a.is_zero():
                 continue
-            for j, dj in enumerate(other.coeffs):
-                if dj.is_zero():
-                    continue
-                derivs = [dj]
-                for _ in range(i):
-                    derivs.append(derivs[-1].deriv())
+            for j, betas in enumerate(ladders):
                 for r in range(i + 1):
-                    out[r + j] = out[r + j] + ci * math.comb(i, r) * derivs[i - r]
-        return DiffOp(out)
+                    beta = betas[i - r]
+                    if not beta.is_zero():
+                        out[r + j] = out[r + j] + \
+                            a * (math.comb(i, r) * beta) * tp[top - i + r]
+        return DiffOp(out, self.den * tp[top + 1])
 
     def is_polynomial(self) -> bool:
-        return all(c.is_polynomial() for c in self.coeffs)
+        return self.den.degree == 0
 
     def poly_coeffs(self) -> Tuple[Poly, ...]:
-        return tuple(c.as_poly() for c in self.coeffs)
+        if not self.is_polynomial():
+            raise ValueError(f"not a polynomial: denominator {self.den!r}")
+        return self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("DiffOp", self.coeffs))
+        return hash(("DiffOp", self.nums, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -159,23 +246,14 @@ class DiffOp:
         return "DiffOp[" + " + ".join(bits) + "]"
 
 
-def _expansion_coeffs(columns, rho: GaugedFn, M: int):
+def _expansion_coeffs(columns, rho: GaugedFn, M: int) -> List[GaugedFn]:
     """Signed last-column cofactors of an (M+1)-row Wronskian, times rho."""
     out = []
     for i in range(M + 1):
         orders = [k for k in range(M + 1) if k != i]
         minor = wronskian_rows(columns, orders)
-        signed = minor * ((-1) ** (M + i))
-        out.append(signed * rho)
+        out.append(minor * (rho if (M + i) % 2 == 0 else -rho))
     return out
-
-
-def _p_gauge(pp: ParamPoint, D: IndexSet) -> GaugedFn:
-    s1, s2 = D.s1, D.s2
-    half = Fraction(1, 2)
-    if pp.family == "L":
-        return GaugedFn(a=-s1, b=(s1 + pp.g + half) * s2)
-    return GaugedFn(c=(s1 + pp.g + half) * s2, d=(s2 + pp.h + half) * s1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,46 +262,40 @@ def forward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     M = D.size
     if M == 0:
         return DiffOp.identity()
-    seeds = seed_functions(pp, D)
-    gauged = _expansion_coeffs(seeds, _p_gauge(pp, D), M)
-    coeffs = []
-    for term in gauged:
-        r = term.as_ratfunc()  # NotPolynomial if the gauge fails to cancel
-        coeffs.append(r.as_poly())
-    return DiffOp(coeffs)
+    terms = _expansion_coeffs(seed_functions(pp, D), _xi_gauge(pp, D, HALF), M)
+    # NotPolynomial if a gauge fails to cancel
+    return DiffOp([term.as_poly() for term in terms])
 
 
 def _rho_backward(pp: ParamPoint, D: IndexSet) -> GaugedFn:
     s, s1, s2 = D.size, D.s1, D.s2
-    half = Fraction(1, 2)
     xi = xi_poly(pp, D)
     const = c_factor(pp) ** (2 * s) * (-1) ** (s * (s + 1) // 2)
     r = RatFunc(Poly.const(const), xi ** s)
     if pp.family == "L":
-        return GaugedFn(a=-s2, b=s1 * (s1 + pp.g + half), r=r)
-    return GaugedFn(c=s1 * (s1 + pp.g + half),
-                    d=s2 * (s2 + pp.h + half), r=r)
+        return GaugedFn(a=-s2, b=s1 * (s1 + pp.g + HALF), r=r)
+    return GaugedFn(c=s1 * (s1 + pp.g + HALF),
+                    d=s2 * (s2 + pp.h + HALF), r=r)
 
 
 @functools.lru_cache(maxsize=None)
 def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
-    """Bhat with Bhat P_{D,n} = pi_D(n) P_n; denominators divide Xi^M."""
+    """Bhat with Bhat P_{D,n} = pi_D(n) P_n; numerators over Xi^M."""
     M = D.size
     if M == 0:
         return DiffOp.identity()
     mjs = [mj_function(pp, D, j) for j in range(M)]
-    gauged = _expansion_coeffs(mjs, _rho_backward(pp, D), M)
     xi_m = xi_poly(pp, D) ** M
-    coeffs = []
-    for term in gauged:
+    nums = []
+    for term in _expansion_coeffs(mjs, _rho_backward(pp, D), M):
         r = term.as_ratfunc()
-        _, rem = poly_divmod(xi_m, r.den)
+        q, rem = poly_divmod(xi_m, r.den)
         if not rem.is_zero():
             raise DenominatorEscape(
                 f"denominator {r.den!r} does not divide Xi^{M} "
                 f"for {D.label()}")
-        coeffs.append(r)
-    return DiffOp(coeffs)
+        nums.append(r.num * q)
+    return DiffOp(nums, xi_m)
 
 
 def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
@@ -240,37 +312,33 @@ def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
 @functools.lru_cache(maxsize=None)
 def htilde_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     """The gauged Hamiltonian: htilde_op P_{D,n} = E_n P_{D,n}."""
-    xi = RatFunc(xi_poly(pp, D))
-    dxi = xi.deriv()
-    ddxi = dxi.deriv()
-    c2 = RatFunc(schrodinger_c2(pp))
+    xi = xi_poly(pp, D)
+    dxi = differentiate(xi)
+    c2 = schrodinger_c2(pp)
     lam = shifted_params(pp, D.s1, D.s2)
-    c11 = RatFunc(schrodinger_c1(lam))
-    c10 = RatFunc(schrodinger_c1(delta_shift(lam, -1)))
-    quarter = DiffOp([
-        c2 * ddxi / xi - c10 * dxi / xi,
-        c11 - 2 * c2 * dxi / xi,
-        c2,
-    ])
-    return quarter.left_mul(-4)
+    c11 = schrodinger_c1(lam)
+    c10 = schrodinger_c1(delta_shift(lam, -1))
+    quarter = [c2 * differentiate(dxi) - c10 * dxi,
+               c11 * xi - 2 * c2 * dxi,
+               c2 * xi]
+    return DiffOp([-4 * n for n in quarter], xi)
 
 
 def single_step_forward(pp: ParamPoint, D: IndexSet) -> DiffOp:
     """F_D(lambda): maps P_{D,n}(lambda) to f_n P_{D,n-1}(lambda+delta)."""
-    xi = RatFunc(xi_poly(pp, D))
-    xi_up = RatFunc(xi_poly(delta_shift(pp), D))
+    xi_up = xi_poly(delta_shift(pp), D)
     cF = c_factor(pp)
-    return DiffOp([-(xi_up.deriv() / xi) * cF, (xi_up / xi) * cF])
+    return DiffOp([-cF * differentiate(xi_up), cF * xi_up], xi_poly(pp, D))
 
 
 def single_step_backward(pp: ParamPoint, D: IndexSet) -> DiffOp:
     """B_D(lambda): maps P_{D,n-1}(lambda+delta) to b_{n-1} P_{D,n}(lambda)."""
-    xi = RatFunc(xi_poly(pp, D))
-    xi_up = RatFunc(xi_poly(delta_shift(pp), D))
-    c2 = RatFunc(schrodinger_c2(pp))
-    c1s = RatFunc(schrodinger_c1(shifted_params(pp, D.s1, D.s2)))
-    pref = (xi / xi_up) * c2 * Fraction(-4, 1) / c_factor(pp)
-    return DiffOp([pref * (c1s / c2 - xi.deriv() / xi), pref])
+    xi = xi_poly(pp, D)
+    c2 = schrodinger_c2(pp)
+    c1s = schrodinger_c1(shifted_params(pp, D.s1, D.s2))
+    k = Fraction(-4) / c_factor(pp)
+    return DiffOp([k * (c1s * xi - c2 * differentiate(xi)), k * c2 * xi],
+                  xi_poly(delta_shift(pp), D))
 
 
 def forward_step_eigen(pp: ParamPoint, n: int) -> Fraction:

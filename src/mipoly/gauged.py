@@ -12,22 +12,31 @@ gauge and maps the residual r to
 
 -- and under multiplication (gauges add, residuals multiply).  Instances
 are kept in a normal form where the integer parts of b, c, d are folded
-into the residual, so b, c, d always lie in [0, 1); equality and hashing
-are then componentwise.  Addition requires identical gauges and raises
-:class:`GaugeMismatch` otherwise.
+into the residual (by exact division by the linear base, no gcd), so b,
+c, d always lie in [0, 1); equality and hashing are then componentwise.
+Addition requires identical gauges and raises :class:`GaugeMismatch`
+otherwise.
 
 Wronskians.  For columns f_1, ..., f_m the determinant
 
     W[f_1, ..., f_m] = det( d^i/deta^i f_j )_{0<=i<m}
 
-is computed exactly: every derivative of f_j shares f_j's gauge, so the
-gauge factors out of each column and the rest is a determinant of
-rational-function residuals.  That determinant is evaluated by clearing
-denominators column-wise (an LCM per column) and running fraction-free
-Bareiss elimination on the resulting polynomial matrix, dividing the
-cleared determinant back out at the end.  ``wronskian_rows`` generalizes
-to an arbitrary list of derivative orders for the rows, which is what the
-operator minors downstream need.
+is computed exactly from polynomial numerators.  Each column is written
+as a raw gauge G_j times a polynomial p_j (the negative integer powers
+the normal form keeps in the residual denominator go back into the
+exponents; any other denominator raises :class:`NotPolynomial`).  With
+w the product of the linear factors eta, eta - 1, eta + 1 that some G_j
+carries, E_j = w G_j'/G_j is a polynomial and every derivative is
+
+    f_j^(k) = G_j q_{j,k} / w^k,   q_{j,0} = p_j,
+    q_{j,k+1} = w q_{j,k}' + (E_j - k w') q_{j,k}
+
+(``numerator_ladder``).  The Wronskian is then (prod_j G_j) det(q) /
+w^(sum of the row orders): one fraction-free Bareiss determinant of
+polynomials (``det_poly``), with no denominator clearing and no gcd per
+derivative; the power of w goes back into the gauge exponents.
+``wronskian_rows`` takes an arbitrary list of derivative orders for the
+rows, which is what the operator minors downstream need.
 
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
@@ -48,6 +57,7 @@ from .exact import (
     ETA,
     Poly,
     RatFunc,
+    differentiate,
     poly_divmod,
     poly_lcm,
     rat,
@@ -67,13 +77,26 @@ _HALF_PLUS = Poly([Fraction(1, 2), Fraction(1, 2)])    # (1+eta)/2
 
 
 def _fold(base: Poly, exponent: Fraction, r: RatFunc):
-    """Split exponent = frac + int, multiply base^int into r, return (frac, r)."""
+    """Split exponent = frac + int, multiply base^int into r, return (frac, r).
+
+    base is linear, so cancelling it against r is exact division by base,
+    repeated while it goes through; no gcd is needed.
+    """
     n = math.floor(exponent)
     if n:
+        # cancel base from num (n < 0) or den (n > 0) while it divides;
+        # what is left of base^|n| joins the other side
+        top, bottom = (r.num, r.den) if n < 0 else (r.den, r.num)
+        k = abs(n)
+        while k and not top.is_zero():
+            q, rem = poly_divmod(top, base)
+            if not rem.is_zero():
+                break
+            top, k = q, k - 1
+        bottom = bottom * base ** k
         if n > 0:
-            r = r * RatFunc(base ** n)
-        else:
-            r = r / RatFunc(base ** (-n))
+            top, bottom = bottom, top
+        r = RatFunc._reduced(top, bottom)
     return exponent - n, r
 
 
@@ -81,12 +104,7 @@ class GaugedFn:
     __slots__ = ("a", "b", "c", "d", "r")
 
     def __init__(self, a=0, b=0, c=0, d=0, r=None):
-        if r is None:
-            r = RatFunc(Poly.one())
-        elif isinstance(r, Poly):
-            r = RatFunc(r)
-        elif isinstance(r, (int, str, Fraction)):
-            r = RatFunc(Poly.const(r))
+        r = RatFunc.of(1 if r is None else r)
         if not isinstance(a, int):
             ra = rat(a)
             if ra.denominator != 1:
@@ -119,7 +137,7 @@ class GaugedFn:
             return GaugedFn(self.a + other.a, self.b + other.b,
                             self.c + other.c, self.d + other.d,
                             self.r * other.r)
-        return GaugedFn(self.a, self.b, self.c, self.d, self.r * _as_ratfunc(other))
+        return GaugedFn(self.a, self.b, self.c, self.d, self.r * RatFunc.of(other))
 
     __rmul__ = __mul__
 
@@ -128,11 +146,11 @@ class GaugedFn:
             return GaugedFn(self.a - other.a, self.b - other.b,
                             self.c - other.c, self.d - other.d,
                             self.r / other.r)
-        return GaugedFn(self.a, self.b, self.c, self.d, self.r / _as_ratfunc(other))
+        return GaugedFn(self.a, self.b, self.c, self.d, self.r / RatFunc.of(other))
 
     def __add__(self, other) -> "GaugedFn":
         if not isinstance(other, GaugedFn):
-            other = GaugedFn(r=_as_ratfunc(other))
+            other = GaugedFn(r=RatFunc.of(other))
         if self.is_zero():
             return other
         if other.is_zero():
@@ -149,7 +167,7 @@ class GaugedFn:
 
     def __sub__(self, other) -> "GaugedFn":
         if not isinstance(other, GaugedFn):
-            other = GaugedFn(r=_as_ratfunc(other))
+            other = GaugedFn(r=RatFunc.of(other))
         return self + (-other)
 
     def deriv(self) -> "GaugedFn":
@@ -193,29 +211,61 @@ class GaugedFn:
                 f"r={self.r!r})")
 
 
-def _as_ratfunc(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    return RatFunc(Poly.const(x))
+# The monic linear factors of the gauge bases eta, (1-eta)/2, (1+eta)/2,
+# one per exponent slot b, c, d, with factor = const * base.
+_LINEAR = ((ETA, 1), (Poly([-1, 1]), -2), (Poly([1, 1]), 2))
 
 
-def derivative_ladder(f: GaugedFn, kmax: int) -> List[RatFunc]:
-    """Residuals of f, f', ..., f^(kmax), all sharing f's gauge."""
-    a, b, c, d = f.a, f.b, f.c, f.d
-    extra = RatFunc(Poly.const(a))
-    if b:
-        extra = extra + RatFunc(Poly.const(b), ETA)
-    if c:
-        extra = extra - RatFunc(Poly.const(c), Poly([1, -1]))
-    if d:
-        extra = extra + RatFunc(Poly.const(d), Poly([1, 1]))
-    out = [f.r]
-    for _ in range(kmax):
-        r = out[-1]
-        out.append(r.deriv() + r * extra)
-    return out
+def _raw_gauge(f: GaugedFn) -> Tuple[tuple, Poly]:
+    """f = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d p: ((a, b, c, d), p).
+
+    The normal form folds negative integer exponents into the residual
+    denominator; they go back into the exponents here.
+    """
+    exps = [f.b, f.c, f.d]
+    num, den = f.r.num, f.r.den
+    for slot, (factor, const) in enumerate(_LINEAR):
+        while den.degree > 0:
+            q, rem = poly_divmod(den, factor)
+            if not rem.is_zero():
+                break
+            den = q
+            exps[slot] -= 1
+            num = num * Fraction(1, const)
+    if den.degree > 0:
+        raise NotPolynomial(
+            f"residual denominator {den!r} is not a gauge factor")
+    return (f.a, *exps), num
+
+
+def numerator_ladder(fs: Sequence[GaugedFn], kmax: int):
+    """Polynomial numerators of the derivatives of gauged columns.
+
+    Returns (w, present, columns).  Each column is (G, [q_0, ..., q_kmax])
+    with f^(k) = G q_k / w^k and G a raw gauge (a, b, c, d).  w is the
+    product of the linear factors eta, eta - 1, eta + 1 that some G
+    carries; present[s] says whether the factor of slot s (b, c, d) is in
+    w.  E = w G'/G is then a polynomial, and q_{k+1} = w q_k' + (E - k w') q_k.
+    """
+    split = [_raw_gauge(f) for f in fs]
+    present = [any(g[s + 1] for g, _ in split) for s in range(3)]
+    w = Poly.one()
+    for (factor, _), there in zip(_LINEAR, present):
+        if there:
+            w = w * factor
+    dw = differentiate(w)
+    columns = []
+    for g, p in split:
+        E = g[0] * w
+        for s, (factor, _) in enumerate(_LINEAR):
+            if g[s + 1]:
+                E = E + g[s + 1] * poly_divmod(w, factor)[0]
+        qs = [p]
+        for k in range(kmax):
+            q = qs[-1]
+            qs.append(w * differentiate(q) + (E - k * dw) * q)
+        columns.append((g, qs))
+    return w, present, columns
 
 
 def det_poly(M: Sequence[Sequence[Poly]]) -> Poly:
@@ -255,7 +305,10 @@ def det_ratfunc(M: Sequence[Sequence[RatFunc]]) -> RatFunc:
     """Determinant of a rational-function matrix.
 
     Clears denominators with one LCM per column, takes the polynomial
-    determinant, and divides the column multipliers back out.
+    determinant, and divides the column multipliers back out.  Wronskians
+    do not use it (their entries are polynomial numerators over powers of
+    one w); it stays a public name because the benchmark (BENCHMARK.json,
+    perfbench/) declares its self time.
     """
     m = len(M)
     if m == 0:
@@ -291,15 +344,17 @@ def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int]) -> GaugedFn:
         raise ValueError("need as many derivative orders as columns")
     if m == 0:
         return GaugedFn()
-    kmax = max(orders)
-    ladders = [derivative_ladder(f, kmax) for f in fs]
-    R = [[ladders[j][k] for j in range(m)] for k in orders]
-    det = det_ratfunc(R)
-    a = sum(f.a for f in fs)
-    b = sum((f.b for f in fs), Fraction(0))
-    c = sum((f.c for f in fs), Fraction(0))
-    d = sum((f.d for f in fs), Fraction(0))
-    return GaugedFn(a, b, c, d, det)
+    _, present, columns = numerator_ladder(fs, max(orders))
+    det = det_poly([[qs[k] for _, qs in columns] for k in orders])
+    # (prod G_j) det / w^S, with 1/w^S moved into the gauge exponents
+    S = sum(orders)
+    exps = [sum(g[i] for g, _ in columns) for i in range(4)]
+    scale = Fraction(1)
+    for s, (_, const) in enumerate(_LINEAR):
+        if present[s]:
+            exps[s + 1] -= S
+            scale /= Fraction(const) ** S
+    return GaugedFn(*exps, r=det * scale)
 
 
 def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:

@@ -40,7 +40,6 @@ from .exact import ParamPoint, Poly
 from .families import (
     GenericityViolation,
     classical_poly,
-    delta_shift,
     energy,
     leading_coeff,
     seed,
@@ -274,7 +273,3 @@ def check_genericity(pp: ParamPoint, D: IndexSet, nmax: int) -> None:
                 f"leading coefficient of P_(D,{n}) vanishes "
                 f"for {D.label()} at {pp}")
 
-
-def xi_poly_shifted(pp: ParamPoint, D: IndexSet) -> Poly:
-    """Xi_D at lambda + delta (used by forward/backward factorizations)."""
-    return xi_poly(delta_shift(pp), D)

@@ -114,7 +114,8 @@ def test_recurrence_raw_x_inadmissible(capsys):
     assert code == 1
     row = [c for c in doc["checks"] if c["name"] == "x_admissible"][0]
     assert row["status"] == "fail"
-    assert "NotPolynomial" in row["detail"]
+    assert row["detail"] == ("NotPolynomial: coefficient of d^0 has denominator "
+                             "Poly(17/6 + 1*eta); X is not admissible for 1I")
     assert "rows" not in doc["results"]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipoly.exact import ETA, ParamPoint, Poly, RatFunc
+from mipoly.exact import ETA, ParamPoint, Poly, RatFunc, poly_divmod
 from mipoly.families import classical_poly, energy
 from mipoly.diffop import (
     DiffOp,
@@ -21,6 +21,7 @@ from mipoly.diffop import (
 )
 from mipoly.families import delta_shift
 from mipoly.mindexed import IndexSet, mi_poly, pi_factor, xi_poly
+from mipoly.recurrence import theta_op
 
 F = Fraction
 
@@ -103,6 +104,21 @@ def test_apply_and_left_mul():
     assert DiffOp.identity().apply(q) == RatFunc(q)
 
 
+def test_common_denominator_is_canonical():
+    # 1/eta + 2/(eta (eta + 1)) d, once from RatFuncs sharing the factor
+    # eta, once as numerators over a non-monic, non-reduced denominator
+    from_ratfuncs = DiffOp([RatFunc(Poly.one(), ETA),
+                            RatFunc(Poly([2]), Poly([0, 1, 1]))])
+    extra = Poly([2, 0, 1]) * 3
+    explicit = DiffOp([Poly([1, 1]) * extra, 2 * extra],
+                      Poly([0, 1, 1]) * extra)
+    assert from_ratfuncs == explicit
+    assert hash(from_ratfuncs) == hash(explicit)
+    assert explicit.den == Poly([0, 1, 1])
+    assert explicit.coeffs == (RatFunc(Poly.one(), ETA),
+                               RatFunc(Poly([2]), Poly([0, 1, 1])))
+
+
 # -- the Wronskian-built operators ----------------------------------------
 
 
@@ -128,6 +144,15 @@ def test_backward_op_single_seed_pinned():
 def test_trivial_index_set_gives_identity():
     assert forward_op(LG, IndexSet("L", (), ())) == DiffOp.identity()
     assert backward_op(JG, IndexSet("J", (), ())) == DiffOp.identity()
+
+
+@pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
+def test_operator_denominators(pp, D):
+    # Fhat and Theta are polynomial; Bhat's one denominator divides Xi^M
+    assert forward_op(pp, D).den == Poly.one()
+    assert theta_op(pp, D, Poly.one()).den == Poly.one()
+    _, rem = poly_divmod(xi_poly(pp, D) ** D.size, backward_op(pp, D).den)
+    assert rem.is_zero()
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)

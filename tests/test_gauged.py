@@ -19,9 +19,9 @@ from mipoly.gauged import (
     GaugedFn,
     GaugeMismatch,
     NotPolynomial,
-    derivative_ladder,
     det_poly,
     det_ratfunc,
+    numerator_ladder,
     poly_wronskian,
     wronskian,
     wronskian_identities_check,
@@ -102,20 +102,28 @@ def test_product_rule(f, g):
 
 @given(gauged_fns())
 def test_second_derivative_two_ways(f):
-    assert f.deriv().deriv() == derivative_ladder(f, 2)[2] * _gauge_only(f)
+    w, _, [(g, qs)] = numerator_ladder([f], 2)
+    assert f.deriv().deriv() == GaugedFn(*g, r=RatFunc(qs[2], w ** 2))
 
 
-def _gauge_only(f):
-    return GaugedFn(f.a, f.b, f.c, f.d, RatFunc(Poly.one()))
+@given(st.lists(gauged_fns(), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=3))
+@settings(deadline=None)
+def test_derivative_ladder_matches_repeated_deriv(fs, k):
+    # f^(i) = G q_i / w^i with one w shared by all columns
+    w, _, columns = numerator_ladder(fs, k)
+    for f, (g, qs) in zip(fs, columns):
+        h = f
+        for i in range(k + 1):
+            assert GaugedFn(*g, r=RatFunc(qs[i], w ** i)) == h
+            h = h.deriv()
 
 
-@given(gauged_fns(), st.integers(min_value=0, max_value=3))
-def test_derivative_ladder_matches_repeated_deriv(f, k):
-    ladder = derivative_ladder(f, k)
-    g = f
-    for i in range(k + 1):
-        assert GaugedFn(f.a, f.b, f.c, f.d, ladder[i]) == g
-        g = g.deriv()
+def test_residual_outside_the_gauge_is_rejected():
+    # 1/(eta - 3) is no power of eta, (1-eta)/2 or (1+eta)/2
+    f = GaugedFn(b=Fraction(1, 2), r=RatFunc(Poly.one(), Poly([-3, 1])))
+    with pytest.raises(NotPolynomial):
+        wronskian_rows([f, GaugedFn(r=ETA)], [0, 1])
 
 
 def test_fractional_power_derivative():
@@ -167,8 +175,8 @@ def test_zero_is_canonical():
                 min_size=3, max_size=3))
 @settings(max_examples=40)
 def test_bareiss_matches_leibniz(rows):
-    M = [[RatFunc(p) for p in row] for row in rows]
-    assert det_ratfunc(M) == det_oracle(M)
+    assert RatFunc(det_poly(rows)) == det_oracle([[RatFunc(p) for p in row]
+                                                  for row in rows])
 
 
 def test_det_needs_pivot_swap():
