@@ -2,33 +2,37 @@
 
 Three subcommands.  ``construct`` builds the denominator polynomial and
 the first members of a deformed family at an exact rational parameter
-point, with genericity diagnostics.  ``recurrence`` derives the
-1 + 2L-term constant-coefficient relation by the three independent
-routes (direct expansion, conjugated operator, matrix realization),
-cross-checks them, and compares against the shipped closed-form tables
-when the configuration matches one of the built-in cases.  ``verify``
-re-runs the seeded identity suites.
+point, with genericity diagnostics.  ``recurrence`` checks genericity
+through n = nmax + L, derives the 1 + 2L-term constant-coefficient
+relation by the three independent routes (direct expansion, conjugated
+operator, matrix realization) in one loop, cross-checks them, and
+compares against the shipped closed-form tables when the configuration
+matches one of the built-in cases.  ``verify`` re-runs the seeded
+identity suites.
 
 Every document is ``{config, results, checks, version}``; rationals are
 rendered "p/q" (plain "p" for integers), polynomials as ascending
 coefficient arrays, and output is byte-identical across runs for a
 fixed configuration -- randomness is seeded, nothing is timestamped.
-Exit status: 0 when every check passes, 1 when a mathematical check
-fails, 2 when the configuration is unusable.  ``--format text`` prints
-a terse summary instead of JSON; ``--latex FILE`` additionally writes
-the main result as a LaTeX fragment (formatting only).
+Every check is a ``checks.Check`` row; a failing one names its first
+witness (``checks.agree``).  Exit status: 0 when every check passes, 1
+when a mathematical check fails, 2 when the configuration is unusable
+or the ``--latex FILE`` fragment (formatting only, written before
+stdout) cannot be written.  ``--format text`` prints a terse summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import __version__
+from .checks import Check, Report, agree
 from .exact import ETA, ParamPoint, Poly, differentiate, rat_str
 from .families import (
     GenericityViolation,
@@ -62,15 +66,12 @@ from .recurrence import (
     x_from_y,
 )
 from .shiftalg import (
-    bnk_value,
     commutator_check,
+    cross_term_cases,
     power_formulas_check,
     recurrence_bispectral,
     star_identities_check,
 )
-
-Check = Dict[str, str]
-
 
 class ConfigError(ValueError):
     """The command line could not be turned into a valid configuration."""
@@ -121,26 +122,18 @@ def _check_counts(args) -> None:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
 
 
-def _check_row(name: str, ok: bool, detail: str) -> Check:
-    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-
-
-def _all_pass(checks: List[Check]) -> bool:
-    return all(c["status"] == "pass" for c in checks)
-
-
-def _config_doc(args) -> dict:
-    out = {"command": args.command, "format": args.format,
-           "nmax": args.nmax, "samples": args.samples, "seed": args.seed}
+def _document(args, results: dict, checks: Report) -> Tuple[dict, int]:
+    """The output document and the exit status its checks imply."""
+    config = {"command": args.command, "format": args.format,
+              "nmax": args.nmax, "samples": args.samples, "seed": args.seed}
     for key in ("family", "g", "h", "indices", "y", "raw_x", "suite"):
         if hasattr(args, key):
-            out[key] = getattr(args, key)
-    return out
-
-
-def _document(args, results: dict, checks: List[Check]) -> dict:
-    return {"config": _config_doc(args), "results": results,
-            "checks": checks, "version": __version__}
+            config[key] = getattr(args, key)
+    rows = [{"name": c.name, "status": "pass" if c.ok else "fail",
+             "detail": c.detail} for c in checks]
+    doc = {"config": config, "results": results, "checks": rows,
+           "version": __version__}
+    return doc, 0 if all(c.ok for c in checks) else 1
 
 
 def _load_golden(name: str) -> dict:
@@ -149,22 +142,18 @@ def _load_golden(name: str) -> dict:
         return json.load(fh)
 
 
-def _coeff_pairs(table: Dict[int, Fraction]) -> List[list]:
-    return [[k, rat_str(v)] for k, v in sorted(table.items())]
-
-
 # -- construct ---------------------------------------------------------------
 
 
 def cmd_construct(args) -> Tuple[dict, int]:
     pp, D = _parse_point_and_set(args)
-    checks: List[Check] = []
+    checks: Report = []
     results: dict = {"ell": D.ell, "indices": D.label()}
     try:
         xi = xi_poly(pp, D, check_leading=False)
         results["xi"] = xi.to_strings()
         results["xi_leading"] = rat_str(xi_leading(pp, D))
-        degrees_ok = xi.degree == D.ell
+        degrees = [("deg Xi", D.ell, xi.degree)]
         members = []
         for n in range(args.nmax + 1):
             p = mi_poly(pp, D, n, check_leading=False)
@@ -174,31 +163,30 @@ def cmd_construct(args) -> Tuple[dict, int]:
                 "predicted_leading": rat_str(p_leading(pp, D, n)),
                 "pi": rat_str(pi_factor(pp, D, n)),
             })
-            degrees_ok = degrees_ok and p.degree == D.ell + n
+            degrees.append((f"deg P_(D,{n})", D.ell + n, p.degree))
         results["members"] = members
-        checks.append(_check_row(
-            "expected_degrees", degrees_ok,
-            f"deg Xi = {D.ell} and deg P_n = {D.ell} + n through n = {args.nmax}"))
-        try:
-            check_genericity(pp, D, args.nmax)
-            checks.append(_check_row(
-                "genericity", True,
-                f"pi(n) and leading coefficients nonzero through n = {args.nmax}"))
-        except GenericityViolation as exc:
-            checks.append(_check_row("genericity", False, str(exc)))
+        checks.append(agree(
+            "expected_degrees",
+            f"deg Xi = {D.ell} and deg P_n = {D.ell} + n through n = {args.nmax}",
+            degrees))
+        check_genericity(pp, D, args.nmax)
+        checks.append(Check(
+            "genericity", True,
+            f"pi(n) and leading coefficients nonzero through n = {args.nmax}"))
     except GenericityViolation as exc:
-        # construction itself can die at non-generic parameters
-        checks.append(_check_row("genericity", False, str(exc)))
+        # the construction itself can die at non-generic parameters too
+        checks.append(Check("genericity", False, str(exc)))
 
     if pp.family == "L" and D == IndexSet("L", (1,), (2,)):
         golden = _load_golden("degenerate_quartics")
         want = golden["xi"].get(rat_str(pp.g))
         if want is not None:
-            checks.append(_check_row(
-                "degenerate_factorization", results.get("xi") == want,
-                f"known factorization at g = {rat_str(pp.g)}"))
+            checks.append(agree(
+                "degenerate_factorization",
+                f"known factorization at g = {rat_str(pp.g)}",
+                [("Xi", want, results.get("xi"))]))
 
-    return _document(args, results, checks), 0 if _all_pass(checks) else 1
+    return _document(args, results, checks)
 
 
 # -- recurrence --------------------------------------------------------------
@@ -219,77 +207,76 @@ def _matching_golden(pp: ParamPoint, D: IndexSet, Y: Poly) -> Optional[dict]:
     return None
 
 
-def _row_doc(n: int, table: Dict[int, Fraction]) -> dict:
-    return {"n": n, "coeffs": _coeff_pairs(table)}
+def _y_routes(pp: ParamPoint, D: IndexSet, Y: Poly) -> List[tuple]:
+    return [("direct", functools.partial(recurrence_direct, pp, D, Y)),
+            ("operator", functools.partial(recurrence_via_theta, pp, D, Y)),
+            ("matrix", functools.partial(recurrence_bispectral, pp, D, Y))]
+
+
+def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
+    """Rows of the first route for n <= nmax, and their agreement check."""
+    rows, cases = [], []
+    for n in range(nmax + 1):
+        (_, row), *others = [(route, at(n)) for route, at in routes]
+        rows.append(row)
+        cases += [(f"n={n}, {route} route", row, other)
+                  for route, other in others]
+    return rows, agree(name, detail, cases)
 
 
 def cmd_recurrence(args) -> Tuple[dict, int]:
     pp, D = _parse_point_and_set(args)
-    checks: List[Check] = []
+    checks: Report = []
     results: dict = {"indices": D.label()}
-
-    if args.raw_x is not None:
-        X = _parse_poly(args.raw_x, "--raw-X")
-        results["x"] = X.to_strings()
-        try:
-            theta = theta_from_x(pp, D, X)
-        except NotPolynomial as exc:
-            checks.append(_check_row(
-                "x_admissible", False, f"NotPolynomial: {exc}"))
-            return _document(args, results, checks), 1
-        checks.append(_check_row(
-            "x_admissible", True, "conjugated operator is polynomial"))
-        results["order"] = X.degree
-        try:
-            rows = []
-            agree = True
-            for n in range(args.nmax + 1):
-                direct = {m - n: c for m, c in
-                          expand_in_deformed(pp, D,
-                                             X * mi_poly(pp, D, n)).items()}
-                via = recurrence_from_theta(pp, D, theta, n)
-                agree = agree and direct == via
-                rows.append(_row_doc(n, direct))
-            results["rows"] = rows
-            checks.append(_check_row(
-                "route_agreement", agree,
-                f"direct and operator routes for n <= {args.nmax}"))
-        except (GenericityViolation, DegenerateLeading) as exc:
-            checks.append(_check_row("genericity", False, str(exc)))
-        return _document(args, results, checks), 0 if _all_pass(checks) else 1
-
-    Y = _parse_poly(args.y, "--y")
     try:
-        X = x_from_y(pp, D, Y)
-        L = recurrence_order(D, Y)
-        results["x"] = X.to_strings()
+        if args.raw_x is not None:
+            X = _parse_poly(args.raw_x, "--raw-X")
+            results["x"] = X.to_strings()
+            try:
+                theta = theta_from_x(pp, D, X)
+            except NotPolynomial as exc:
+                checks.append(Check("x_admissible", False,
+                                    f"NotPolynomial: {exc}"))
+                return _document(args, results, checks)
+            checks.append(Check("x_admissible", True,
+                                "conjugated operator is polynomial"))
+            L, detail = X.degree, "direct and operator routes"
+            routes = [
+                ("direct", lambda n: {
+                    m - n: c for m, c in expand_in_deformed(
+                        pp, D, X * mi_poly(pp, D, n)).items()}),
+                ("operator", functools.partial(recurrence_from_theta,
+                                               pp, D, theta))]
+        else:
+            Y = _parse_poly(args.y, "--y")
+            results["x"] = x_from_y(pp, D, Y).to_strings()
+            L = recurrence_order(D, Y)
+            detail = "direct, operator and matrix routes"
+            routes = _y_routes(pp, D, Y)
         results["order"] = L
-        rows = []
-        agree = True
-        for n in range(args.nmax + 1):
-            direct = recurrence_direct(pp, D, Y, n)
-            via = recurrence_via_theta(pp, D, Y, n)
-            matrix = recurrence_bispectral(pp, D, Y, n)
-            agree = agree and direct == via == matrix
-            rows.append(_row_doc(n, direct))
-        results["rows"] = rows
-        checks.append(_check_row(
-            "route_agreement", agree,
-            f"direct, operator and matrix routes for n <= {args.nmax}"))
+        check_genericity(pp, D, args.nmax + L)
+        rows, agreement = _route_agreement(
+            "route_agreement", f"{detail} for n <= {args.nmax}", routes,
+            args.nmax)
     except (GenericityViolation, DegenerateLeading) as exc:
-        checks.append(_check_row("genericity", False, str(exc)))
-        return _document(args, results, checks), 1
+        checks.append(Check("genericity", False, str(exc)))
+        return _document(args, results, checks)
+    results["rows"] = [
+        {"n": n, "coeffs": [[k, rat_str(v)] for k, v in sorted(row.items())]}
+        for n, row in enumerate(rows)]
+    checks.append(agreement)
 
-    gold = _matching_golden(pp, D, Y)
+    gold = None if args.raw_x is not None else _matching_golden(pp, D, Y)
     if gold is not None:
         upto = min(args.nmax, max(r["n"] for r in gold["rows"]))
-        ok = all(rows[n]["coeffs"] == gold["rows"][n]["coeffs"]
-                 for n in range(upto + 1))
-        results["golden"] = "pass" if ok else "fail"
-        checks.append(_check_row(
-            "golden", ok, f"closed-form table rows n <= {upto}"))
+        golden = agree("golden", f"closed-form table rows n <= {upto}",
+                       [(f"n={n}", gold["rows"][n]["coeffs"],
+                         results["rows"][n]["coeffs"])
+                        for n in range(upto + 1)])
+        results["golden"] = "pass" if golden.ok else "fail"
+        checks.append(golden)
 
-    return _document(args, results, checks), 0 if _all_pass(checks) else 1
+    return _document(args, results, checks)
 
 
 # -- verify ------------------------------------------------------------------
@@ -309,8 +296,6 @@ _L_SETS = [IndexSet("L", (1,), ()), IndexSet("L", (), (2,)),
 _J_SETS = [IndexSet("J", (1,), ()), IndexSet("J", (), (2,)),
            IndexSet("J", (1, 2), ()), IndexSet("J", (1,), (2,))]
 
-Report = List[Tuple[str, bool, str]]
-
 
 def _sample_points(samples: int) -> List[ParamPoint]:
     pts = [ParamPoint("H")]
@@ -320,24 +305,15 @@ def _sample_points(samples: int) -> List[ParamPoint]:
 
 
 def _deformed_cases(samples: int) -> List[Tuple[ParamPoint, IndexSet]]:
-    cases = []
-    for g in _L_POOL[:samples]:
-        pp = ParamPoint("L", g=g)
-        cases += [(pp, D) for D in _L_SETS]
-    for g, h in _J_POOL[:samples]:
-        pp = ParamPoint("J", g=g, h=h)
-        cases += [(pp, D) for D in _J_SETS]
-    return cases
+    """The L and J sample points, each with every index set of its family."""
+    return [(pp, D) for pp in _sample_points(samples)[1:]
+            for D in (_L_SETS if pp.family == "L" else _J_SETS)]
 
 
-def _point_label(pp: ParamPoint, sep: str = " ",
-                 D: Optional[IndexSet] = None) -> str:
-    """Check-row label of a point: L g=7/3, or J,1I,2II,g=7/3,h=9/4 with
-    sep "," and an index set."""
-    parts = [pp.family] + ([D.label()] if D is not None else [])
-    parts += [f"{name}={rat_str(v)}" for name, v in (("g", pp.g), ("h", pp.h))
-              if v is not None]
-    return sep.join(parts)
+def _set_label(pp: ParamPoint, D: IndexSet) -> str:
+    """Check-row label of a point and an index set: J,1I,2II,g=7/3,h=9/4."""
+    family, *params = str(pp).split(" ")
+    return ",".join([family, D.label(), *params])
 
 
 def _suite_wronskian(args) -> Report:
@@ -347,22 +323,19 @@ def _suite_wronskian(args) -> Report:
 def _suite_families(args) -> Report:
     report: Report = []
     for pp in _sample_points(args.samples):
-        ok_trr = True
-        ok_deriv = True
+        P = functools.partial(classical_poly, pp)
+        trr, deriv = [], []
         for n in range(args.nmax + 1):
             A, B, C = recurrence_abc(pp, n)
-            lhs = ETA * classical_poly(pp, n)
-            rhs = (A * classical_poly(pp, n + 1) + B * classical_poly(pp, n)
-                   + C * classical_poly(pp, n - 1))
-            ok_trr = ok_trr and lhs == rhs
-            dP = differentiate(classical_poly(pp, n))
+            trr.append((f"eta P_{n}", ETA * P(n),
+                        A * P(n + 1) + B * P(n) + C * P(n - 1)))
             want = {n - k: cnk(pp, n, k) for k in range(1, n + 1)
                     if cnk(pp, n, k) != 0}
-            ok_deriv = ok_deriv and expand_in_classical(pp, dP) == want
-        label = _point_label(pp)
-        report.append((f"three_term[{label}]", ok_trr, f"n <= {args.nmax}"))
-        report.append((f"derivative_expansion[{label}]", ok_deriv,
-                       f"n <= {args.nmax}"))
+            deriv.append((f"P_{n}'", want,
+                          expand_in_classical(pp, differentiate(P(n)))))
+        report.append(agree(f"three_term[{pp}]", f"n <= {args.nmax}", trr))
+        report.append(agree(f"derivative_expansion[{pp}]",
+                            f"n <= {args.nmax}", deriv))
     return report
 
 
@@ -370,15 +343,18 @@ def _suite_mindexed(args) -> Report:
     report: Report = []
     nmax = min(args.nmax, 5)
     for pp, D in _deformed_cases(args.samples):
-        ok = xi_poly(pp, D).degree == D.ell
-        ok = ok and xi_poly(pp, D).lc() == xi_leading(pp, D)
+        xi = xi_poly(pp, D)
+        cases = [("deg Xi", D.ell, xi.degree),
+                 ("lc Xi", xi_leading(pp, D), xi.lc())]
         for n in range(nmax + 1):
             p = mi_poly(pp, D, n)
-            ok = ok and p.degree == D.ell + n and p.lc() == p_leading(pp, D, n)
-        ok = ok and mi_poly(pp, D, 0) == \
-            plusdelta_constant(pp, D) * xi_poly(delta_shift(pp), D)
-        report.append((f"construction[{_point_label(pp, ',', D)}]", ok,
-                       f"degrees, leadings, lowest member; n <= {nmax}"))
+            cases += [(f"deg P_(D,{n})", D.ell + n, p.degree),
+                      (f"lc P_(D,{n})", p_leading(pp, D, n), p.lc())]
+        cases.append(("P_(D,0)", plusdelta_constant(pp, D)
+                      * xi_poly(delta_shift(pp), D), mi_poly(pp, D, 0)))
+        report.append(agree(f"construction[{_set_label(pp, D)}]",
+                            f"degrees, leadings, lowest member; n <= {nmax}",
+                            cases))
     return report
 
 
@@ -388,39 +364,34 @@ def _suite_diffop(args) -> Report:
     for pp, D in _deformed_cases(args.samples):
         fhat, bhat = forward_op(pp, D), backward_op(pp, D)
         H = htilde_op(pp, D)
-        ok = True
+        cases = []
         for n in range(nmax + 1):
             Pn, PDn = classical_poly(pp, n), mi_poly(pp, D, n)
-            pi = pi_factor(pp, D, n)
-            ok = ok and fhat.apply(Pn).as_poly() == PDn
-            ok = ok and bhat.apply(PDn).as_poly() == pi * Pn
-            ok = ok and H.apply(PDn).as_poly() == energy(pp, n) * PDn
-        ok = ok and backward_apply_via_wronskian(pp, D, Poly([3, -2, 1])) \
-            == bhat.apply(Poly([3, -2, 1]))
-        report.append((f"intertwining[{_point_label(pp, ',', D)}]", ok,
-                       f"forward/backward/eigen; n <= {nmax}"))
+            cases += [
+                (f"Fhat P_{n}", PDn, fhat.apply(Pn).as_poly()),
+                (f"Bhat P_(D,{n})", pi_factor(pp, D, n) * Pn,
+                 bhat.apply(PDn).as_poly()),
+                (f"H P_(D,{n})", energy(pp, n) * PDn, H.apply(PDn).as_poly())]
+        q = Poly([3, -2, 1])
+        cases.append((f"Bhat {q!r} by Wronskian", bhat.apply(q),
+                      backward_apply_via_wronskian(pp, D, q)))
+        report.append(agree(f"intertwining[{_set_label(pp, D)}]",
+                            f"forward/backward/eigen; n <= {nmax}", cases))
     return report
 
 
 def _suite_recurrence(args) -> Report:
-    report: Report = []
     nmax = min(args.nmax, 5)
-    for pp, D in _deformed_cases(min(args.samples, 2)):
-        for Y in (Poly.one(), ETA):
-            ok = True
-            for n in range(nmax + 1):
-                direct = recurrence_direct(pp, D, Y, n)
-                ok = ok and direct == recurrence_via_theta(pp, D, Y, n)
-                ok = ok and direct == recurrence_bispectral(pp, D, Y, n)
-            label = f"{_point_label(pp, ',', D)},degY={Y.degree}"
-            report.append((f"routes[{label}]", ok,
-                           f"three routes agree for n <= {nmax}"))
-    return report
+    return [_route_agreement(
+                f"routes[{_set_label(pp, D)},degY={Y.degree}]",
+                f"three routes agree for n <= {nmax}",
+                _y_routes(pp, D, Y), nmax)[1]
+            for pp, D in _deformed_cases(min(args.samples, 2))
+            for Y in (Poly.one(), ETA)]
 
 
 def _suite_shiftalg(args) -> Report:
-    report: Report = list(star_identities_check(seed=args.seed,
-                                                trials=2 * args.samples))
+    report = star_identities_check(seed=args.seed, trials=2 * args.samples)
     for pp in _sample_points(min(args.samples, 2)):
         size = args.nmax + 6
         report += commutator_check(pp, size, nmax=args.nmax)
@@ -429,14 +400,10 @@ def _suite_shiftalg(args) -> Report:
 
 
 def _suite_bnk(args) -> Report:
-    report: Report = []
-    for pp in _sample_points(min(args.samples, 3)):
-        bad = [(n, k) for n in range(args.nmax + 1)
-               for k in range(1, n + 1) if bnk_value(pp, n, k) != 0]
-        report.append((f"cross_terms[{_point_label(pp)}]", not bad,
-                       f"b(n,k) = 0 for 1 <= k <= n <= {args.nmax}"
-                       + (f"; first violation {bad[0]}" if bad else "")))
-    return report
+    return [agree(f"cross_terms[{pp}]",
+                  f"b(n,k) = 0 for 1 <= k <= n <= {args.nmax}",
+                  cross_term_cases(pp, args.nmax))
+            for pp in _sample_points(min(args.samples, 3))]
 
 
 _SUITES = {
@@ -452,19 +419,17 @@ _SUITES = {
 
 def cmd_verify(args) -> Tuple[dict, int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks: List[Check] = []
+    checks: Report = []
     summary: dict = {}
     for name in names:
         try:
             rows = _SUITES[name](args)
         except Exception as exc:  # a crashed suite is a failed suite
-            rows = [("crashed", False, f"{type(exc).__name__}: {exc}")]
-        summary[name] = {"pass": sum(1 for _, ok, _ in rows if ok),
-                         "fail": sum(1 for _, ok, _ in rows if not ok)}
-        checks += [_check_row(f"{name}/{row}", ok, detail)
-                   for row, ok, detail in rows]
-    results = {"suites": summary}
-    return _document(args, results, checks), 0 if _all_pass(checks) else 1
+            rows = [Check("crashed", False, f"{type(exc).__name__}: {exc}")]
+        summary[name] = {"pass": sum(1 for row in rows if row.ok),
+                         "fail": sum(1 for row in rows if not row.ok)}
+        checks += [row._replace(name=f"{name}/{row.name}") for row in rows]
+    return _document(args, {"suites": summary}, checks)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -537,15 +502,18 @@ def _text_render(doc: dict) -> str:
 
 
 def _emit(doc: dict, args) -> None:
+    if args.latex:
+        try:
+            with open(args.latex, "w", encoding="utf-8") as fh:
+                fh.write(_latex_render(doc) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"--latex: {exc}") from None
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "text":
         print(_text_render(doc))
     else:
         print(_latex_render(doc))
-    if args.latex:
-        with open(args.latex, "w", encoding="utf-8") as fh:
-            fh.write(_latex_render(doc) + "\n")
 
 
 # -- entry points ------------------------------------------------------------
@@ -637,10 +605,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_counts(args)
         doc, code = _COMMANDS[args.command](args)
+        _emit(doc, args)
     except ConfigError as exc:
         print(f"mipoly: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
     return code
 
 

@@ -218,20 +218,18 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    rem = list(a.coeffs)
+    rem = list(a.coeffs)           # no trailing zeros: rem[-1] is the lead
     binv = 1 / b.lc()
     db = len(b.coeffs) - 1
-    while len(rem) - 1 >= db and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
+    while len(rem) - 1 >= db:
         shift = len(rem) - 1 - db
         factor = rem[-1] * binv
         q[shift] = factor
         for i, c in enumerate(b.coeffs):
             rem[shift + i] -= factor * c
         rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
     return Poly(q), Poly(rem)
 
 
@@ -492,3 +490,9 @@ class ParamPoint:
         return ParamPoint("J",
                           g=self.g if g is None else rat(g),
                           h=self.h if h is None else rat(h))
+
+    def __str__(self) -> str:
+        """Message form: the family, then g and h as p/q ("J g=7/3 h=9/4")."""
+        return " ".join([self.family] + [
+            f"{name}={rat_str(v)}" for name, v in (("g", self.g), ("h", self.h))
+            if v is not None])

@@ -41,9 +41,9 @@ rows, which is what the operator minors downstream need.
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
 of variable, and the collapse of the matrix of cofactor minors -- are
-bundled into a seeded self-check suite (``wronskian_identities_check``)
-so the command-line ``verify`` command and the acceptance battery can
-re-run them on demand.
+bundled into a seeded self-check suite (``wronskian_identities_check``,
+one ``checks.Check`` row per identity, naming the first failing
+instance) so ``verify`` and the acceptance battery can re-run them.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
+from .checks import Report, agree
 from .exact import (
     ETA,
     Poly,
@@ -364,8 +365,6 @@ def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
 
 # -- seeded identity suite ---------------------------------------------------
 
-Report = List[Tuple[str, bool, str]]
-
 
 def _random_poly(rng: random.Random, max_degree: int,
                  nonzero: bool = False) -> Poly:
@@ -385,27 +384,18 @@ def poly_wronskian(fs: Sequence[Poly]) -> Poly:
 def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
     """Exercise the four determinant identities on random polynomials.
 
-    Per trial: up to four columns of degree <= 5.  Returns one
-    (name, ok, detail) row per identity; everything is exact, so ok is
-    a genuine identity check, not a tolerance.
+    Per trial: up to four columns of degree <= 5.  Returns one check row
+    per identity; everything is exact, so ok is a genuine identity
+    check, not a tolerance.  Each trial gives (expected, actual).
     """
     rng = random.Random(seed)
-    report: Report = []
-
-    def run(name, one_trial):
-        for i in range(trials):
-            if not one_trial():
-                report.append((name, False, f"instance {i} failed"))
-                return
-        report.append((name, True, f"{trials} seeded instances"))
 
     def common_factor():
         # W[g f_1, ..., g f_n] = g^n W[f_1, ..., f_n]
         n = rng.randint(1, 4)
         fs = [_random_poly(rng, 5) for _ in range(n)]
         g = _random_poly(rng, 5, nonzero=True)
-        return poly_wronskian([g * f for f in fs]) == \
-            g ** n * poly_wronskian(fs)
+        return g ** n * poly_wronskian(fs), poly_wronskian([g * f for f in fs])
 
     def nested_pair():
         # W[ W[f..., g], W[f..., h] ] = W[f...] W[f..., g, h]
@@ -415,7 +405,7 @@ def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
         h = _random_poly(rng, 5)
         lhs = poly_wronskian([poly_wronskian(fs + [g]),
                               poly_wronskian(fs + [h])])
-        return lhs == poly_wronskian(fs) * poly_wronskian(fs + [g, h])
+        return poly_wronskian(fs) * poly_wronskian(fs + [g, h]), lhs
 
     def variable_change():
         # under eta = x^2 the Wronskian picks up (d eta/dx)^(n(n-1)/2)
@@ -425,7 +415,7 @@ def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
         lhs = poly_wronskian([f.compose(square) for f in fs])
         rhs = Poly([0, 2]) ** (n * (n - 1) // 2) \
             * poly_wronskian(fs).compose(square)
-        return lhs == rhs
+        return rhs, lhs
 
     def cofactor_minors():
         # the Wronskian of the n omit-one-column minors collapses to a
@@ -434,10 +424,9 @@ def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
         fs = [_random_poly(rng, 5) for _ in range(n)]
         minors = [poly_wronskian(fs[:j] + fs[j + 1:]) for j in range(n)]
         sign = (-1) ** (n * (n - 1) // 2)
-        return poly_wronskian(minors) == sign * poly_wronskian(fs) ** (n - 1)
+        return sign * poly_wronskian(fs) ** (n - 1), poly_wronskian(minors)
 
-    run("common_factor", common_factor)
-    run("nested_pair", nested_pair)
-    run("variable_change", variable_change)
-    run("cofactor_minors", cofactor_minors)
-    return report
+    return [agree(trial.__name__, f"{trials} seeded instances",
+                  ((f"instance {i}", *trial()) for i in range(trials)))
+            for trial in (common_factor, nested_pair, variable_change,
+                          cofactor_minors)]

@@ -32,6 +32,7 @@ operators f(n) |-> f(n + g(n)) on polynomials in the index, with their
 star-product composition law.  It exists to verify the shift calculus
 (composition identities, collapse to evaluation, commutator cross
 terms) on explicit functions, independently of any matrix truncation.
+The ``*_check`` functions return ``checks.Check`` rows with witnesses.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from .checks import Report, agree
 from .diffop import DiffOp
 from .exact import ParamPoint, Poly
 from .families import GenericityViolation, cnk, recurrence_abc
@@ -120,11 +122,15 @@ class OpMatrix:
         safe = min(other.safe, self.safe - max(other.band_up, 0))
         return OpMatrix(entries, safe, self.band_up + other.band_up)
 
+    def entry_cases(self, other: "OpMatrix"):
+        """(entry, self, other) cases on the shared safe columns."""
+        upto = min(self.safe, other.safe)
+        return ((f"entry ({m},{n})", self.entries[m][n], other.entries[m][n])
+                for n in range(upto + 1) for m in range(self.size))
+
     def agrees_with(self, other: "OpMatrix") -> bool:
         """Entrywise equality on the shared safe columns."""
-        upto = min(self.safe, other.safe)
-        return all(self.entries[m][n] == other.entries[m][n]
-                   for n in range(upto + 1) for m in range(self.size))
+        return all(a == b for _, a, b in self.entry_cases(other))
 
     def __repr__(self) -> str:
         return (f"OpMatrix(size={self.size}, safe={self.safe}, "
@@ -176,14 +182,6 @@ class NormalOrderedShift:
         return NormalOrderedShift(g1 + g2.compose(_N + g1))
 
 
-def normal_ordered_apply(s: NormalOrderedShift, f: Poly) -> Poly:
-    return s.apply(f)
-
-
-def star(s1: NormalOrderedShift, s2: NormalOrderedShift) -> NormalOrderedShift:
-    return s1.star(s2)
-
-
 def collapsing_shift(j: int) -> NormalOrderedShift:
     """Displacement -(n + j): sends any f(n) to the constant f(-j)."""
     return NormalOrderedShift(Poly([-j, -1]))
@@ -208,7 +206,10 @@ def bnk_value(pp: ParamPoint, n: int, k: int) -> Fraction:
             + C_n * cnk(pp, n - 1, k - 1) - C_low * cnk(pp, n, k - 1))
 
 
-Report = List[Tuple[str, bool, str]]
+def cross_term_cases(pp: ParamPoint, nmax: int):
+    """(b(n,k), 0, value) cases for 1 <= k <= n <= nmax."""
+    return ((f"b({n},{k})", 0, bnk_value(pp, n, k))
+            for n in range(1, nmax + 1) for k in range(1, n + 1))
 
 
 def commutator_check(pp: ParamPoint, size: int, nmax: int = 20) -> Report:
@@ -216,14 +217,11 @@ def commutator_check(pp: ParamPoint, size: int, nmax: int = 20) -> Report:
     d = delta_matrix(pp, size)
     g = gamma_matrix(pp, size)
     bracket = g * d - d * g
-    ok = bracket.agrees_with(OpMatrix.identity(size))
-    out = [("commutator_window", ok,
-            f"columns 0..{bracket.safe} at size {size}")]
-    bad = [(n, k) for n in range(1, nmax + 1) for k in range(1, n + 1)
-           if bnk_value(pp, n, k) != 0]
-    out.append(("cross_terms_vanish", not bad,
-                f"n <= {nmax}" if not bad else f"nonzero at {bad[:5]}"))
-    return out
+    return [agree("commutator_window",
+                  f"columns 0..{bracket.safe} at size {size}",
+                  OpMatrix.identity(size).entry_cases(bracket)),
+            agree("cross_terms_vanish", f"n <= {nmax}",
+                  cross_term_cases(pp, nmax))]
 
 
 def star_identities_check(seed: int = 0, trials: int = 10) -> Report:
@@ -235,37 +233,37 @@ def star_identities_check(seed: int = 0, trials: int = 10) -> Report:
         return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                      for _ in range(deg + 1)])
 
-    out: Report = []
     a, b = Fraction(3, 2), Fraction(-5, 3)
     ca, cb = NormalOrderedShift(Poly([a])), NormalOrderedShift(Poly([b]))
-    out.append(("constants_add",
-                star(ca, cb).displacement == Poly([a + b]), f"a={a}, b={b}"))
     oj = NormalOrderedShift(Poly([-b, -1]))
-    out.append(("collapse_absorbs_left",
-                star(ca, oj).displacement == oj.displacement,
-                "constant then collapse"))
-    out.append(("collapse_shifts_right",
-                star(oj, ca).displacement == Poly([-(b - a), -1]),
-                "collapse then constant"))
-    ok = star(collapsing_shift(2), collapsing_shift(5)
-              ).displacement == collapsing_shift(5).displacement
-    out.append(("collapse_absorbs_collapse", ok, "j=2, k=5"))
+    fixed = [
+        ("constants_add", f"a={a}, b={b}", Poly([a + b]), ca.star(cb)),
+        ("collapse_absorbs_left", "constant then collapse", oj.displacement,
+         ca.star(oj)),
+        ("collapse_shifts_right", "collapse then constant",
+         Poly([-(b - a), -1]), oj.star(ca)),
+        ("collapse_absorbs_collapse", "j=2, k=5",
+         collapsing_shift(5).displacement,
+         collapsing_shift(2).star(collapsing_shift(5)))]
+    out = [agree(name, detail, [("displacement", want, got.displacement)])
+           for name, detail, want, got in fixed]
 
-    assoc = apply_ok = absorb = True
-    for _ in range(trials):
+    assoc, composition, absorb = [], [], []
+    for i in range(trials):
         s1, s2, s3 = (NormalOrderedShift(rand_poly(2)) for _ in range(3))
         f = rand_poly(3)
-        assoc &= (star(star(s1, s2), s3).displacement
-                  == star(s1, star(s2, s3)).displacement)
-        apply_ok &= star(s1, s2).apply(f) == s1.apply(s2.apply(f))
+        assoc.append((f"trial {i}", s1.star(s2).star(s3).displacement,
+                      s1.star(s2.star(s3)).displacement))
+        composition.append((f"trial {i}", s1.apply(s2.apply(f)),
+                            s1.star(s2).apply(f)))
         j, k = rng.randint(1, 6), rng.randint(1, 6)
-        absorb &= (star(collapsing_shift(j), collapsing_shift(k)).apply(f)
-                   == collapsing_shift(k).apply(f))
-    out.append(("star_associative", assoc, f"{trials} random triples"))
-    out.append(("star_matches_composition", apply_ok,
-                f"{trials} random pairs"))
-    out.append(("collapse_action_absorbs", absorb, f"{trials} random j,k"))
-    return out
+        absorb.append((f"trial {i}, j={j}, k={k}", collapsing_shift(k).apply(f),
+                       collapsing_shift(j).star(collapsing_shift(k)).apply(f)))
+    return out + [
+        agree("star_associative", f"{trials} random triples", assoc),
+        agree("star_matches_composition", f"{trials} random pairs",
+              composition),
+        agree("collapse_action_absorbs", f"{trials} random j,k", absorb)]
 
 
 # -- closed forms for powers of the two actions ------------------------------
@@ -345,10 +343,10 @@ def power_formulas_check(pp: ParamPoint, size: int, imax: int = 3) -> Report:
     for i in range(1, imax + 1):
         dprod = dprod * d
         gprod = gprod * g
-        ok_d = delta_power_matrix(pp, i, size).agrees_with(dprod)
-        ok_g = gamma_power_matrix(pp, i, size).agrees_with(gprod)
-        out.append((f"eta_power_{i}", ok_d, f"size {size}"))
-        out.append((f"derivative_power_{i}", ok_g, f"size {size}"))
+        out.append(agree(f"eta_power_{i}", f"size {size}",
+                         dprod.entry_cases(delta_power_matrix(pp, i, size))))
+        out.append(agree(f"derivative_power_{i}", f"size {size}",
+                         gprod.entry_cases(gamma_power_matrix(pp, i, size))))
     return out
 
 

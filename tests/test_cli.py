@@ -9,8 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from mipoly import cli
+from mipoly.checks import show
 from mipoly.cli import main
-from mipoly.exact import rat_str
+from mipoly.exact import ParamPoint, Poly, rat_str
+from mipoly.mindexed import IndexSet, mi_poly
 from mipoly.recurrence import theta_op
 
 
@@ -62,6 +65,16 @@ def test_construct_degenerate_quartics(capsys, g):
     assert check_status(doc, "degenerate_factorization") == "pass"
     assert check_status(doc, "genericity") == "fail"
     assert len(doc["results"]["xi"]) == 5
+
+
+def test_construct_names_degree_witness(capsys):
+    code, doc = run_json(capsys, ["construct", "--family", "L", "--g", "-1/2",
+                                  "--indices", "1I,2II"])
+    assert code == 1
+    row = [c for c in doc["checks"] if c["name"] == "expected_degrees"][0]
+    assert row["status"] == "fail"
+    assert "first at deg P_(D,3): expected 7," in row["detail"]
+    assert "inf" not in row["detail"]
 
 
 def test_construct_config_errors(capsys):
@@ -143,12 +156,36 @@ def test_recurrence_builds_theta_once(capsys):
 
 
 def test_recurrence_names_identically_zero_member(capsys):
+    # P_(D,4) vanishes identically here; the genericity check through
+    # nmax + L runs before any route and names the cause
     code, doc = run_json(capsys, ["recurrence", "--family", "L",
                                   "--g", "-3/2", "--indices", "2II"])
     assert code == 1
     row = [c for c in doc["checks"] if c["name"] == "genericity"][0]
-    assert "is identically zero" in row["detail"]
+    assert row["detail"] == "pi_D(4) = 0 for 2II at L g=-3/2"
     assert "inf" not in row["detail"]
+    assert "rows" not in doc["results"]
+
+
+def test_recurrence_names_route_witness(capsys, monkeypatch):
+    real = cli.recurrence_bispectral
+
+    def perturbed(pp, D, Y, n):
+        row = real(pp, D, Y, n)
+        return {**row, 1: row[1] + 1} if n == 3 else row
+
+    monkeypatch.setattr(cli, "recurrence_bispectral", perturbed)
+    code, doc = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
+                                  "--indices", "1I", "--nmax", "4"])
+    assert code == 1
+    row = [c for c in doc["checks"] if c["name"] == "route_agreement"][0]
+    assert row["status"] == "fail"
+    args = (ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I"), Poly.one(), 3)
+    assert row["detail"] == (
+        "direct, operator and matrix routes for n <= 4; 1 of 10 cases fail, "
+        f"first at n=3, matrix route: expected {show(real(*args))}, "
+        f"got {show(perturbed(*args))}")
+    assert [r["n"] for r in doc["results"]["rows"]] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("command", [
@@ -194,6 +231,20 @@ def test_verify_families_and_mindexed(capsys):
     assert doc["results"]["suites"]["mindexed"]["fail"] == 0
 
 
+def test_verify_names_diffop_witness(capsys, monkeypatch):
+    real = cli.energy
+    monkeypatch.setattr(cli, "energy", lambda pp, n: real(pp, n) + 1)
+    code, doc = run_json(capsys, ["verify", "--suite", "diffop",
+                                  "--samples", "1", "--nmax", "2"])
+    assert code == 1
+    row = doc["checks"][0]
+    assert row["name"] == "diffop/intertwining[L,1I,g=7/3]"
+    # E_0 = 0, so H P_(D,0) = 0 against the perturbed 1 * P_(D,0)
+    p0 = mi_poly(ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I"), 0)
+    assert row["detail"].endswith(
+        f"first at H P_(D,0): expected {p0!r}, got Poly(0)")
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "sorcery"]) == 2
     capsys.readouterr()
@@ -211,6 +262,17 @@ def test_rationals_round_trip(capsys):
     assert seen
     for s in seen:
         assert rat_str(F(s)) == s
+
+
+def test_latex_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "fragment.tex"
+    code = main(["construct", "--family", "L", "--g", "7/3", "--indices", "1I",
+                 "--nmax", "1", "--latex", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mipoly: --latex: ")
+    assert not target.exists()
 
 
 def test_latex_fragment(capsys, tmp_path):

@@ -72,6 +72,13 @@ def test_divmod_reconstructs(a, b):
     assert r.is_zero() or r.degree < b.degree
 
 
+def test_divmod_zero_and_lower_degree_dividends():
+    b = Poly([1, 0, 2])
+    assert poly_divmod(Poly.zero(), b) == (Poly.zero(), Poly.zero())
+    low = Poly([Fraction(1, 2), 3])
+    assert poly_divmod(low, b) == (Poly.zero(), low)
+
+
 @given(polys(max_degree=3), polys(max_degree=3), polys(max_degree=2))
 def test_gcd_common_factor(p, q, g):
     # gcd(p*g, q*g) is divisible by g whenever g != 0
