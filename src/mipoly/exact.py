@@ -2,13 +2,22 @@
 
 Everything in this package is computed over the rationals; no floats
 anywhere.  ``Rational`` is the standard-library :class:`~fractions.Fraction`
-(arbitrary precision, gcd-normalized, positive denominator -- exactly the
-invariants we need).  On top of it sit
+(arbitrary precision, gcd-normalized, positive denominator), and it is
+the scalar type of every public value.  On top of it sit
 
 * :class:`Poly` -- a dense univariate polynomial in the variable ``eta``,
-  stored as a coefficient tuple in ascending degree with no trailing zeros.
-  The zero polynomial has degree ``NEG_INF`` (a sentinel, never ``-1``), so
-  degree bookkeeping in the Wronskian/recurrence layers stays honest.
+  stored as one rational content times a tuple of primitive integer
+  coefficients (ascending, no trailing zeros, gcd 1, positive lead; the
+  sign and every denominator live in the content).  The form is
+  canonical, so equality and hashing are structural.  The ring
+  operations run over Z on the integer parts with one content operation
+  each: a product of primitive parts is primitive (Gauss's lemma), so
+  ``*`` and ``**`` need no gcd at all; ``+``/``-`` form one integer linear
+  combination and divide out its gcd.  ``coeffs``, ``coeff``, ``lc`` and
+  evaluation hand out Fractions, built on demand, and ``to_strings``
+  prints them.  The zero polynomial has degree ``NEG_INF`` (a sentinel,
+  never ``-1``), so degree bookkeeping in the Wronskian/recurrence layers
+  stays honest.
 * :class:`RatFunc` -- a quotient of two Polys kept in normal form:
   gcd(num, den) = 1 and den monic.  Closed under +, -, *, / and d/d eta.
   The Wronskian and operator layers keep polynomial numerators over
@@ -22,8 +31,11 @@ invariants we need).  On top of it sit
 
 Module-level helpers provide the calculus bits used everywhere downstream:
 ``differentiate``, ``integrate_from_zero`` (antiderivative vanishing at 0),
-``poly_divmod``/``poly_gcd`` (exact division with remainder, monic gcd) and
-the Pochhammer symbol ``(x)_n``.
+``poly_divmod``/``poly_gcd`` (division with remainder over Z, exact
+whenever the quotient has integer coefficients; monic gcd by a primitive
+remainder sequence) and the Pochhammer symbol ``(x)_n``.  The private
+``_imul``/``_ilin``/``_idivmod`` work on bare integer coefficient lists;
+the Bareiss determinant in ``gauged`` uses them directly.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -60,24 +72,62 @@ def rat_str(x: Fraction) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over Rational, coefficients ascending."""
+    """Dense univariate polynomial over Rational: content * sum ints[k] eta^k.
 
-    __slots__ = ("coeffs",)
+    ``ints`` is a tuple of integers, ascending, with no trailing zeros,
+    gcd 1 and a positive last entry; ``content`` is a Fraction that
+    carries the sign and every denominator (0 for the zero polynomial,
+    whose ``ints`` is empty).  The form is canonical, so equality and
+    hashing compare the two fields.
+    """
+
+    __slots__ = ("ints", "content")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs],
+                  Fraction(1, den))
+
+    def _set(self, ints: list, content: Fraction) -> None:
+        """Store content * ints in canonical form."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            content = Fraction(0)
+        else:
+            g = math.gcd(*ints)
+            if ints[-1] < 0:
+                g = -g
+            if g != 1:
+                ints = [c // g for c in ints]
+                content = content * g
+        self.ints = tuple(ints)
+        self.content = content
+
+    @classmethod
+    def _make(cls, ints: list, content: Fraction) -> "Poly":
+        """content * ints for any integer list ints."""
+        self = object.__new__(cls)
+        self._set(ints, content)
+        return self
+
+    @classmethod
+    def _of(cls, ints: tuple, content: Fraction) -> "Poly":
+        """content * ints when ints is already primitive with a positive lead."""
+        self = object.__new__(cls)
+        self.ints = ints
+        self.content = content if ints else Fraction(0)
+        return self
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return ONE
 
     @staticmethod
     def const(c: ScalarLike) -> "Poly":
@@ -89,93 +139,105 @@ class Poly:
 
     # -- structure ----------------------------------------------------
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending (built on each access)."""
+        return tuple(self.content * c for c in self.ints)
+
+    @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return self.content * self.ints[k]
         return Fraction(0)
 
     def lc(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.content * self.ints[-1] if self.ints else Fraction(0)
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of(self.ints, -self.content)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            if not self.ints or not other.ints:
+                return ZERO
+            # Gauss's lemma: the product of primitive parts is primitive
+            return Poly._of(tuple(_imul(self.ints, other.ints)),
+                            self.content * other.content)
         c = rat(other)
-        return Poly([c * a for a in self.coeffs])
+        return Poly._of(self.ints, self.content * c) if c else ZERO
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return ONE
+        result, base, k = None, self.ints, n
+        while True:
+            if k & 1:
+                result = base if result is None else _imul(result, base)
+            k >>= 1
+            if not k:
+                break
+            base = _imul(base, base)
+        return Poly._of(tuple(result), self.content ** n)
 
     def __call__(self, x: ScalarLike) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule, homogenized over Z: x = p/q."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qk = self.ints[-1], 1
+        for c in reversed(self.ints[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return self.content * Fraction(acc, qk)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """Polynomial composition self(inner(eta))."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        """Polynomial composition self(inner(eta)).
+
+        With inner = (p/q) I, Horner runs over Z on p I and the powers of
+        q, and the content takes 1/q^deg once.
+        """
+        if not self.ints or not inner.ints:
+            return Poly.const(self.coeff(0))
+        p, q = inner.content.numerator, inner.content.denominator
+        scaled = [p * c for c in inner.ints]
+        acc, qk = [self.ints[-1]], 1
+        for c in reversed(self.ints[:-1]):
+            qk *= q
+            acc = _imul(acc, scaled)
+            acc[0] += c * qk
+        return Poly._make(acc, self.content / qk)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.ints:
             return self
-        inv = 1 / self.lc()
-        return Poly([c * inv for c in self.coeffs])
+        return Poly._of(self.ints, Fraction(1, self.ints[-1]))
 
     # -- misc ----------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.ints == other.ints
+                and self.content == other.content)
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.ints, self.content))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -198,91 +260,126 @@ class Poly:
 
 
 #: The variable itself, and common constants.
-ETA = Poly([0, 1])
-ONE = Poly([1])
 ZERO = Poly()
+ONE = Poly([1])
+ETA = Poly([0, 1])
+
+
+# -- integer coefficient lists ---------------------------------------------
+# Ascending lists of ints with no trailing zeros ([] is zero); they carry
+# the ring operations below the content.
+
+
+def _imul(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of integer coefficient lists."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for i, c in enumerate(b):
+        if c:
+            out[i:i + n] = [o + c * x for o, x in zip(out[i:i + n], a)]
+    return out
+
+
+def _ilin(a: Sequence[int], x: int, b: Sequence[int], y: int) -> list:
+    """x a + y b for integer coefficient lists, trailing zeros dropped."""
+    if len(a) < len(b):
+        a, x, b, y = b, y, a, x
+    n = len(b)
+    out = [x * c + y * d for c, d in zip(a, b)]
+    out += [x * c for c in a[n:]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _idivmod(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """(q, r, s) with s a = q b + r over Z, deg r < deg b and s > 0.
+
+    Long division that scales the remainder by the least factor that
+    makes the next quotient coefficient an integer, so s = 1 whenever the
+    quotient lies in Z[eta] -- always when b divides a and b is primitive
+    (Gauss's lemma), or when b has a unit lead.
+    """
+    rem, q, s = list(a), [0] * max(len(a) - len(b) + 1, 0), 1
+    db, lead_b = len(b) - 1, b[-1]
+    while len(rem) > db:
+        lead = rem[-1]
+        f, m = divmod(lead, lead_b)
+        if m:
+            t = abs(lead_b) // math.gcd(lead, lead_b)
+            rem = [c * t for c in rem]
+            q = [c * t for c in q]
+            s *= t
+            f = lead * t // lead_b
+        shift = len(rem) - 1 - db
+        q[shift] = f
+        rem[shift:] = [r - f * c for r, c in zip(rem[shift:], b)]
+        while rem and not rem[-1]:
+            rem.pop()
+    return q, rem, s
+
+
+def _combine(p: Poly, other: Poly, sign: int) -> Poly:
+    """p + sign * other: one integer linear combination over the contents."""
+    if not other.ints:
+        return p
+    if not p.ints:
+        return other if sign == 1 else -other
+    n1, d1 = p.content.numerator, p.content.denominator
+    n2, d2 = sign * other.content.numerator, other.content.denominator
+    g = math.gcd(n1, n2)
+    den = d1 // math.gcd(d1, d2) * d2
+    return Poly._make(_ilin(p.ints, n1 // g * (den // d1),
+                            other.ints, n2 // g * (den // d2)),
+                      Fraction(g, den))
 
 
 def differentiate(p: Poly) -> Poly:
     """d/d eta, coefficient-wise."""
-    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+    return Poly._make([k * c for k, c in enumerate(p.ints[1:], 1)], p.content)
 
 
 def integrate_from_zero(p: Poly) -> Poly:
     """Antiderivative with zero constant term: result(0) = 0."""
-    return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+    den = math.lcm(*range(1, len(p.ints) + 1))
+    return Poly._make([0] + [c * (den // k) for k, c in enumerate(p.ints, 1)],
+                      p.content / den)
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple:
     """Exact division with remainder: a = q*b + r, deg r < deg b."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    rem = list(a.coeffs)           # no trailing zeros: rem[-1] is the lead
-    binv = 1 / b.lc()
-    db = len(b.coeffs) - 1
-    while len(rem) - 1 >= db:
-        shift = len(rem) - 1 - db
-        factor = rem[-1] * binv
-        q[shift] = factor
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= factor * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return Poly(q), Poly(rem)
-
-
-def _int_coeffs(p: Poly) -> list:
-    """Scale to integer coefficients (content is irrelevant to the gcd)."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in out:
-        g = math.gcd(g, c)
-    return [c // g for c in out] if g > 1 else out
-
-
-def _prem(u: list, v: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (deg u >= deg v)."""
-    u = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while u and len(u) - 1 >= dv:
-        lead = u[-1]
-        u = [c * lv for c in u]
-        shift = len(u) - len(v)
-        for i, c in enumerate(v):
-            u[shift + i] -= lead * c
-        while u and u[-1] == 0:
-            u.pop()
-    return u
+    q, r, s = _idivmod(a.ints, b.ints)
+    return (Poly._make(q, a.content / (b.content * s)),
+            Poly._make(r, a.content / s))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd, via a primitive pseudo-remainder sequence over Z.
+    """Monic gcd, via a primitive remainder sequence over Z.
 
-    Plain Euclid over Q blows up the Fraction coefficients; clearing to
-    integers and dividing each remainder by its content keeps them tame.
+    Plain Euclid over Q blows up the coefficients; the integer parts are
+    already primitive, and dividing each remainder by its own gcd keeps
+    them tame.
     """
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
-    u, v = _int_coeffs(a), _int_coeffs(b)
+    u, v = a.ints, b.ints
     if len(u) < len(v):
         u, v = v, u
     while v:
-        r = _prem(u, v)
+        r = _idivmod(u, v)[1]
         if r:
-            g = 0
-            for c in r:
-                g = math.gcd(g, c)
+            g = math.gcd(*r)
             r = [c // g for c in r]
         u, v = v, r
-    return Poly(u).monic()
+    return Poly._make(list(u), Fraction(1)).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

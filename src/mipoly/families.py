@@ -79,19 +79,28 @@ def recurrence_abc(pp: ParamPoint, n: int) -> Tuple[Fraction, Fraction, Fraction
     return A, B, C
 
 
+#: A cold P_n first builds P_(n - _STRIDE), so the recursion through the
+#: cache stays about n / _STRIDE + _STRIDE calls deep.
+_STRIDE = 64
+
+
 @functools.lru_cache(maxsize=None)
 def classical_poly(pp: ParamPoint, n: int) -> Poly:
-    """P_n from the three-term recurrence (zero for n < 0)."""
+    """P_n from the three-term recurrence (zero for n < 0).
+
+    One step from the cached P_(n-1) and P_(n-2), so the sequence up to
+    n costs n steps in all.
+    """
     if n < 0:
         return Poly.zero()
     if n == 0:
         return Poly.one()
-    prev, cur = Poly.zero(), Poly.one()
-    for m in range(n):
-        A, B, C = recurrence_abc(pp, m)
-        nxt = (ETA * cur - B * cur - C * prev) * (1 / _nonzero(A, f"A_{m}"))
-        prev, cur = cur, nxt
-    return cur
+    if n > _STRIDE:
+        classical_poly(pp, n - _STRIDE)
+    m = n - 1
+    prev, cur = classical_poly(pp, m - 1), classical_poly(pp, m)
+    A, B, C = recurrence_abc(pp, m)
+    return (ETA * cur - B * cur - C * prev) * (1 / _nonzero(A, f"A_{m}"))
 
 
 def leading_coeff(pp: ParamPoint, n: int) -> Fraction:

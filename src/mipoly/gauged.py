@@ -58,6 +58,9 @@ from .exact import (
     ETA,
     Poly,
     RatFunc,
+    _idivmod,
+    _ilin,
+    _imul,
     differentiate,
     poly_divmod,
     poly_lcm,
@@ -270,36 +273,49 @@ def numerator_ladder(fs: Sequence[GaugedFn], kmax: int):
 
 
 def det_poly(M: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a polynomial matrix, fraction-free Bareiss."""
-    m = len(M)
-    if m == 0:
-        return Poly.one()
-    if m == 1:
-        return M[0][0]
-    if m == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    A = [list(row) for row in M]
-    sign = 1
-    prev = Poly.one()
+    """Determinant of a polynomial matrix, fraction-free Bareiss over Z.
+
+    Each row is scaled by its content (the gcd of the numerators over the
+    lcm of the denominators of its entries' contents), which leaves an
+    integer polynomial matrix; Bareiss runs on it with exact integer
+    division, and the product of the row contents is applied once.
+    """
+    A, scale = [], Fraction(1)
+    for row in M:
+        contents = [p.content for p in row if p.ints]
+        if not contents:
+            return Poly.zero()
+        g = math.gcd(*(c.numerator for c in contents))
+        den = math.lcm(*(c.denominator for c in contents))
+        scale *= Fraction(g, den)
+        ints_row = []
+        for p in row:
+            f = p.content.numerator // g * (den // p.content.denominator)
+            ints_row.append([f * x for x in p.ints])
+        A.append(ints_row)
+    m = len(A)
+    prev = [1]
     for k in range(m - 1):
-        if A[k][k].is_zero():
+        if not A[k][k]:
             for i in range(k + 1, m):
-                if not A[i][k].is_zero():
+                if A[i][k]:
                     A[k], A[i] = A[i], A[k]
-                    sign = -sign
+                    scale = -scale
                     break
             else:
                 return Poly.zero()
-        for i in range(k + 1, m):
+        pivot, row_k = A[k][k], A[k]
+        for row_i in A[k + 1:]:
+            a_ik = row_i[k]
             for j in range(k + 1, m):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
-                q, rem = poly_divmod(num, prev)
-                assert rem.is_zero(), "Bareiss exact division failed"
-                A[i][j] = q
-            A[i][k] = Poly.zero()
-        prev = A[k][k]
-    d = A[m - 1][m - 1]
-    return d if sign == 1 else -d
+                num = _ilin(_imul(row_i[j], pivot), 1,
+                            _imul(a_ik, row_k[j]), -1)
+                if k:
+                    num, rem, s = _idivmod(num, prev)
+                    assert s == 1 and not rem, "Bareiss exact division failed"
+                row_i[j] = num
+        prev = pivot
+    return Poly._make(A[-1][-1], scale) if m else Poly.one()
 
 
 def det_ratfunc(M: Sequence[Sequence[RatFunc]]) -> RatFunc:

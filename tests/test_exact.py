@@ -1,5 +1,11 @@
-"""Ring/field laws for the exact substrate, plus pinned small examples."""
+"""Ring/field laws for the exact substrate, plus pinned small examples.
 
+The reference section checks Poly against plain Fraction-list arithmetic
+written here, which shares nothing with the library's integer-content
+representation.
+"""
+
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,6 +107,132 @@ def test_compose_is_ring_hom(p, q):
     inner = Poly([1, 2])  # eta -> 2 eta + 1
     assert (p * q).compose(inner) == p.compose(inner) * q.compose(inner)
     assert (p + q).compose(inner) == p.compose(inner) + q.compose(inner)
+
+
+# -- against a Fraction-list reference -----------------------------------
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_divmod(a, b):
+    rem, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        q[shift] = f
+        for i, y in enumerate(b):
+            rem[shift + i] -= f * y
+        rem = list(_trim(rem[:-1]))
+    return _trim(q), _trim(rem)
+
+
+def ref_monic(a):
+    return tuple(x / a[-1] for x in a) if a else ()
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_deriv(a):
+    return _trim(k * x for k, x in enumerate(a))[1:] if len(a) > 1 else ()
+
+
+def ref_compose(a, inner):
+    acc = ()
+    for x in reversed(a):
+        acc = ref_add(ref_mul(acc, inner), (x,))
+    return acc
+
+
+@given(polys(), polys())
+def test_ring_ops_match_reference(p, q):
+    a, b = p.coeffs, q.coeffs
+    assert (p + q).coeffs == ref_add(a, b)
+    assert (p - q).coeffs == ref_add(a, b, -1)
+    assert (p * q).coeffs == ref_mul(a, b)
+    assert differentiate(p).coeffs == ref_deriv(a)
+    assert integrate_from_zero(p).coeffs == \
+        _trim([0] + [c / (k + 1) for k, c in enumerate(a)])
+    assert (p ** 3).coeffs == ref_mul(ref_mul(a, a), a)
+    assert p.monic().coeffs == ref_monic(a)
+    x = Fraction(-3, 7)
+    assert p(x) == sum(c * x ** k for k, c in enumerate(a))
+
+
+@given(polys(), polys(max_degree=3))
+def test_divmod_matches_reference(p, q):
+    if q.is_zero():
+        return
+    quo, rem = poly_divmod(p, q)
+    assert (quo.coeffs, rem.coeffs) == ref_divmod(p.coeffs, q.coeffs)
+
+
+@given(polys(max_degree=3), polys(max_degree=3), polys(max_degree=2))
+@settings(max_examples=60)
+def test_gcd_matches_reference_up_to_a_unit(p, q, g):
+    a, b = (p * g).coeffs, (q * g).coeffs
+    if not a and not b:
+        return
+    got = poly_gcd(p * g, q * g).coeffs
+    want = ref_gcd(a, b)
+    assert len(got) == len(want)
+    assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want))
+
+
+@given(polys(max_degree=4), polys(max_degree=2))
+@settings(max_examples=60)
+def test_compose_matches_reference(p, inner):
+    assert p.compose(inner).coeffs == ref_compose(p.coeffs, inner.coeffs)
+
+
+@given(polys(), rationals.filter(lambda c: c != 0))
+def test_canonical_form(p, c):
+    scaled = Poly([c * x for x in p.coeffs])
+    assert scaled * (1 / c) == p
+    assert hash(scaled * (1 / c)) == hash(p)
+    assert isinstance(p.coeffs, tuple)
+    assert all(type(x) is Fraction for x in p.coeffs)
+    if not p.is_zero():
+        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0
+        assert p.content * p.ints[-1] == p.lc()
+
+
+def test_zero_forms():
+    assert Poly([0, 0]).is_zero()
+    assert Poly([0, 0]) == Poly.zero() == Poly([1, 2]) * 0
+    assert hash(Poly([0, 0])) == hash(Poly())
+    assert Poly([Fraction(0), Fraction(0, 5)]).coeffs == ()
+
+
+def test_integer_parts_are_primitive():
+    p = Poly([Fraction(-4, 3), Fraction(2, 9), Fraction(-2, 3)])
+    assert p.ints == (6, -1, 3)
+    assert p.content == Fraction(-2, 9)
+    assert p.coeffs == (Fraction(-4, 3), Fraction(2, 9), Fraction(-2, 3))
+    assert repr(p) == "Poly(-4/3 + 2/9*eta + -2/3*eta^2)"
+    assert p.to_strings() == ["-4/3", "2/9", "-2/3"]
 
 
 # -- RatFunc field laws --------------------------------------------------

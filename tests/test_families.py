@@ -7,6 +7,8 @@ virtual-state data -- is checked against those series or against a direct
 basis expansion.
 """
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,19 @@ def test_three_term_recurrence_matches_series(pp):
                + C * series_poly(pp, n - 1) if n else
                A * series_poly(pp, 1) + B * series_poly(pp, 0))
         assert lhs == rhs
+
+
+def test_cold_classical_poly_recursion_stays_shallow():
+    # each P_n comes from the cached P_(n-1), P_(n-2); a cold call at a
+    # high n must not recurse n levels deep
+    pp = ParamPoint("L", g=F(11, 7))   # a point no other test builds
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 250)
+    try:
+        p = classical_poly(pp, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.degree == 300 and p.lc() == leading_coeff(pp, 300)
 
 
 @pytest.mark.parametrize("pp", [HERMITE] + LAGUERRES + JACOBIS,

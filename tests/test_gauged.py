@@ -8,6 +8,7 @@ factoring, no denominator clearing and no Bareiss elimination.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,42 @@ def test_det_needs_pivot_swap():
     M = [[Z, I, Z], [I, Z, Z], [Z, Z, I]]
     assert det_poly(M) == Poly([-1])
     assert det_poly([[Z, Z], [Z, I]]) == Poly.zero()
+
+
+def _rational_rows(rng, m):
+    """m x m entries of degree <= 2; each row has its own denominators and
+    is scaled by its own rational content."""
+    rows = []
+    for _ in range(m):
+        den = rng.choice([1, 2, 3, 5, 7, 9])
+        scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4, 11]))
+        rows.append([scale * Poly([Fraction(rng.randint(-5, 5),
+                                            den * rng.randint(1, 3))
+                                   for _ in range(rng.randint(1, 3))])
+                     for _ in range(m)])
+    return rows
+
+
+@pytest.mark.parametrize("m,seed,corner", [
+    (4, 0, False), (4, 1, True), (5, 2, False), (5, 3, True),
+])
+def test_bareiss_rational_rows_match_leibniz(m, seed, corner):
+    rows = _rational_rows(random.Random(seed), m)
+    if corner:
+        rows[0][0] = Poly.zero()   # the first pivot needs a row swap
+    det = det_poly(rows)
+    assert not det.is_zero()
+    assert RatFunc(det) == det_oracle([[RatFunc(p) for p in row]
+                                       for row in rows])
+
+
+def test_bareiss_singular_after_pivot_swap():
+    rows = _rational_rows(random.Random(4), 4)
+    rows[0][0] = Poly.zero()
+    rows[3] = [Fraction(-2, 3) * p for p in rows[1]]   # other content, same row
+    assert not rows[1][0].is_zero()
+    assert det_poly(rows).is_zero()
+    assert det_oracle([[RatFunc(p) for p in row] for row in rows]).is_zero()
 
 
 def test_det_ratfunc_with_denominators():

@@ -1,9 +1,10 @@
-"""Xi_D and P_{D,n} against sympy's Wronskian of the classical seeds.
+"""Xi_D, P_{D,n} and P_n against sympy's own polynomials.
 
 An oracle outside the library's arithmetic: the seeds are sympy's own
 ``assoc_laguerre``/``jacobi`` polynomials times their gauges, the
 Wronskian is ``sympy.wronskian``, and the compensating gauge is cancelled
-by sympy's simplification.  Only the compared values come from mipoly.
+by sympy's simplification.  The classical P_n are compared with the same
+sympy polynomials.  Only the compared values come from mipoly.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from mipoly.exact import ParamPoint  # noqa: E402
+from mipoly.families import classical_poly  # noqa: E402
 from mipoly.mindexed import IndexSet, mi_poly, xi_poly  # noqa: E402
 
 x = sympy.Symbol("x")
@@ -65,3 +67,23 @@ def test_xi_and_members_match_sympy_wronskian(family, indices):
     for n in range(4):
         w = sympy.wronskian(seeds + [classical(n)], x)
         assert _coeffs(w * _gauge(family, D, HALF)) == mi_poly(pp, D, n).coeffs, n
+
+
+@pytest.mark.parametrize("family,g,h", [
+    ("L", Fraction(12, 5), None), ("J", Fraction(13, 4), Fraction(10, 3)),
+], ids=["L", "J"])
+def test_classical_polys_match_sympy(family, g, h):
+    pp = ParamPoint(family, g=g, h=h)
+    a = sympy.Rational(g.numerator, g.denominator) - HALF
+    if family == "L":
+        def classical(n):
+            return sympy.assoc_laguerre(n, a, x)
+    else:
+        b = sympy.Rational(h.numerator, h.denominator) - HALF
+
+        def classical(n):
+            return sympy.jacobi(n, a, b, x)
+    for n in range(41):
+        cs = sympy.Poly(classical(n), x).all_coeffs()[::-1]
+        want = tuple(Fraction(int(c.p), int(c.q)) for c in cs)
+        assert want == classical_poly(pp, n).coeffs, n
