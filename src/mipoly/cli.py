@@ -66,6 +66,7 @@ from .recurrence import (
     x_from_y,
 )
 from .shiftalg import (
+    DecompositionFailure,
     commutator_check,
     cross_term_cases,
     power_formulas_check,
@@ -214,13 +215,23 @@ def _y_routes(pp: ParamPoint, D: IndexSet, Y: Poly) -> List[tuple]:
 
 
 def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
-    """Rows of the first route for n <= nmax, and their agreement check."""
+    """Rows of the first route for n <= nmax, and their agreement check.
+
+    A route after the first that finds no normal form for Theta yields
+    its failure message as its row, so the check fails with it as the
+    witness.
+    """
+    (_, first), *others = routes
     rows, cases = [], []
     for n in range(nmax + 1):
-        (_, row), *others = [(route, at(n)) for route, at in routes]
+        row = first(n)
         rows.append(row)
-        cases += [(f"n={n}, {route} route", row, other)
-                  for route, other in others]
+        for route, at in others:
+            try:
+                other = at(n)
+            except DecompositionFailure as exc:
+                other = f"DecompositionFailure: {exc}"
+            cases.append((f"n={n}, {route} route", row, other))
     return rows, agree(name, detail, cases)
 
 

@@ -26,8 +26,10 @@ the scalar type of every public value.  On top of it sit
   oracles; its sum is the plain cross-multiplied quotient, normalized.
 * :class:`ParamPoint` -- the parameter point (family tag plus g, h) that
   every family-dependent construction receives.  It is a dumb frozen
-  record; genericity of a parameter point is enforced where it is
-  checkable, by the layers that know the index sets.
+  record (a :class:`FrozenRecord`, the slotted base that the index set
+  and the shift records share); genericity of a parameter point is
+  enforced where it is checkable, by the layers that know the index
+  sets.
 
 Module-level helpers provide the calculus bits used everywhere downstream:
 ``differentiate``, ``integrate_from_zero`` (antiderivative vanishing at 0),
@@ -41,7 +43,6 @@ the Bareiss determinant in ``gauged`` uses them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -553,31 +554,69 @@ RF_ZERO = RatFunc(Poly.zero())
 RF_ONE = RatFunc(Poly.one())
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class FrozenRecord:
+    """Immutable record over its ``__slots__``, set once in ``__init__``.
+
+    Equality, hashing and ``repr`` go by the tuple of fields, as for a
+    frozen dataclass; the hash is taken once, since records key every
+    cache.  Assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and \
+                self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+
+class ParamPoint(FrozenRecord):
     """Parameter point: family tag 'H' | 'L' | 'J' plus g (L, J) and h (J).
 
     alpha = g - 1/2 and beta = h - 1/2 conversions are centralized in the
     families layer; everything else speaks (g, h).
     """
 
-    family: str
-    g: Optional[Fraction] = None
-    h: Optional[Fraction] = None
+    __slots__ = ("family", "g", "h")
 
-    def __post_init__(self):
-        if self.family not in ("H", "L", "J"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.g is not None:
-            object.__setattr__(self, "g", rat(self.g))
-        if self.h is not None:
-            object.__setattr__(self, "h", rat(self.h))
-        if self.family == "H" and (self.g is not None or self.h is not None):
+    def __init__(self, family: str, g: Optional[ScalarLike] = None,
+                 h: Optional[ScalarLike] = None):
+        if family not in ("H", "L", "J"):
+            raise ValueError(f"unknown family {family!r}")
+        g = None if g is None else rat(g)
+        h = None if h is None else rat(h)
+        if family == "H" and (g is not None or h is not None):
             raise ValueError("Hermite takes no parameters")
-        if self.family == "L" and (self.g is None or self.h is not None):
+        if family == "L" and (g is None or h is not None):
             raise ValueError("Laguerre takes exactly the parameter g")
-        if self.family == "J" and (self.g is None or self.h is None):
+        if family == "J" and (g is None or h is None):
             raise ValueError("Jacobi takes parameters g and h")
+        self._set_fields(family, g, h)
 
     def with_params(self, g=None, h=None) -> "ParamPoint":
         if self.family == "H":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .exact import ETA, ParamPoint, Poly, pochhammer, rat
 from .gauged import GaugedFn
@@ -257,14 +257,30 @@ def cnk(pp: ParamPoint, n: int, k: int) -> Fraction:
         return Fraction(2 * n) if k == 1 else Fraction(0)
     if pp.family == "L":
         return Fraction(-1)
+    return _jacobi_cnk_row(pp, n)[k - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_cnk_row(pp: ParamPoint, n: int) -> Tuple[Fraction, ...]:
+    """(c_{n,1}, ..., c_{n,n}) for Jacobi, from one sweep of a_{n-1,k}."""
     a, b = alpha_of(pp), beta_of(pp)
-    return (n + a + b + 1) / 2 * jacobi_ank(a, b, n - 1, k - 1)
+    scale = (n + a + b + 1) / 2
+    return tuple(scale * x for x in _jacobi_ank_row(a, b, n - 1))
 
 
 def jacobi_ank(a: Fraction, b: Fraction, n: int, k: int) -> Fraction:
     """a_{n,k}: coefficient of P_{n-k}^(a,b) in P_n^(a+1,b+1)."""
     if k < 0 or k > n:
         return Fraction(0)
+    return _jacobi_ank_row(a, b, n)[k]
+
+
+def _jacobi_ank_row(a: Fraction, b: Fraction, n: int) -> List[Fraction]:
+    """a_{n,0}, ..., a_{n,n} in one O(n) sweep.
+
+    a_{n,k} = alpha_{n-k} b_k with b_1 = beta_n, c_1 = gamma_n and
+    (b_{k+1}, c_{k+1}) = (beta_{n-k} b_k + c_k, gamma_{n-k} b_k).
+    """
     s = a + b
 
     def alph(m):
@@ -279,12 +295,15 @@ def jacobi_ank(a: Fraction, b: Fraction, n: int, k: int) -> Fraction:
         return (m + a) * (m + b) * (2 * m + s + 2) / _nonzero(
             (m + s + 1) * (m + s + 2) * (2 * m + s), "gamma_n denominator")
 
-    if k == 0:
-        return alph(n)
+    row = [alph(n)]
+    if n == 0:
+        return row
     bk, ck = bet(n), gam(n)
-    for j in range(1, k):
-        bk, ck = bet(n - j) * bk + ck, gam(n - j) * bk
-    return alph(n - k) * bk
+    for k in range(1, n + 1):
+        if k > 1:
+            bk, ck = bet(n - k + 1) * bk + ck, gam(n - k + 1) * bk
+        row.append(alph(n - k) * bk)
+    return row
 
 
 def expand_in_classical(pp: ParamPoint, q: Poly) -> Dict[int, Fraction]:

@@ -34,7 +34,11 @@ carries, E_j = w G_j'/G_j is a polynomial and every derivative is
 (``numerator_ladder``).  The Wronskian is then (prod_j G_j) det(q) /
 w^(sum of the row orders): one fraction-free Bareiss determinant of
 polynomials (``det_poly``), with no denominator clearing and no gcd per
-derivative; the power of w goes back into the gauge exponents.
+derivative; the power of w goes back into the gauge exponents.  The
+Bareiss pivots and row swaps depend on all columns but the last, so the
+elimination of those is recorded once (``_eliminate``) and a last column
+is replayed through the record alone (``_bordered_det``); that is how
+each P_{D,n} costs one column in ``mindexed``.
 ``wronskian_rows`` takes an arbitrary list of derivative orders for the
 rows, which is what the operator minors downstream need.
 
@@ -257,19 +261,95 @@ def numerator_ladder(fs: Sequence[GaugedFn], kmax: int):
     for (factor, _), there in zip(_LINEAR, present):
         if there:
             w = w * factor
-    dw = differentiate(w)
     columns = []
     for g, p in split:
         E = g[0] * w
         for s, (factor, _) in enumerate(_LINEAR):
             if g[s + 1]:
                 E = E + g[s + 1] * poly_divmod(w, factor)[0]
-        qs = [p]
-        for k in range(kmax):
-            q = qs[-1]
-            qs.append(w * differentiate(q) + (E - k * dw) * q)
-        columns.append((g, qs))
+        columns.append((g, _ladder(p, E, w, kmax)))
     return w, present, columns
+
+
+def _ladder(p: Poly, E: Poly, w: Poly, kmax: int) -> list:
+    """[q_0, ..., q_kmax] with q_0 = p and q_{k+1} = w q_k' + (E - k w') q_k."""
+    dw = differentiate(w)
+    qs = [p]
+    for k in range(kmax):
+        q = qs[-1]
+        qs.append(w * differentiate(q) + (E - k * dw) * q)
+    return qs
+
+
+def _to_ints(polys: Sequence[Poly]) -> Tuple[list, Fraction]:
+    """Integer coefficient lists A and one unit u with polys[i] = u A[i].
+
+    u is the gcd of the numerators over the lcm of the denominators of
+    the contents (1 when every poly is zero).
+    """
+    contents = [p.content for p in polys if p.ints] or [Fraction(1)]
+    g = math.gcd(*(c.numerator for c in contents))
+    den = math.lcm(*(c.denominator for c in contents))
+    return [[p.content.numerator // g * (den // p.content.denominator) * x
+             for x in p.ints] for p in polys], Fraction(g, den)
+
+
+def _eliminate(block: Sequence[Sequence[Poly]]):
+    """Fraction-free Bareiss over Z on an m x (m-1) polynomial block.
+
+    The pivots and row swaps of det [block | c] depend on the block
+    alone, so this records them once for ``_bordered_det``: the row
+    contents, then per step the swap (or None), the pivot, the
+    multipliers of the rows below and the previous pivot.  Steps is None
+    when the block has dependent columns, so every such determinant is 0.
+    """
+    rows = [_to_ints(row) for row in block]
+    A, scales = [a for a, _ in rows], [s for _, s in rows]
+    m = len(A)
+    steps, prev = [], [1]
+    for k in range(m - 1):
+        swap = None
+        if not A[k][k]:
+            swap = next((i for i in range(k + 1, m) if A[i][k]), None)
+            if swap is None:
+                return scales, None
+            A[k], A[swap] = A[swap], A[k]
+        pivot, row_k = A[k][k], A[k]
+        steps.append((swap, pivot, [row[k] for row in A[k + 1:]], prev))
+        for row_i in A[k + 1:]:
+            row_i[k + 1:] = [_bareiss(row_i[j], pivot, row_i[k], row_k[j], prev)
+                             for j in range(k + 1, m - 1)]
+        prev = pivot
+    return scales, steps
+
+
+def _bareiss(a_ij: list, pivot: list, a_ik: list, a_kj: list, prev: list) -> list:
+    """(a_ij pivot - a_ik a_kj) / prev, an exact division over Z."""
+    num = _ilin(_imul(a_ij, pivot), 1, _imul(a_ik, a_kj), -1)
+    if prev == [1]:
+        return num
+    num, rem, s = _idivmod(num, prev)
+    assert s == 1 and not rem, "Bareiss exact division failed"
+    return num
+
+
+def _bordered_det(elimination, column: Sequence[Poly]) -> Poly:
+    """det [block | column] from ``_eliminate(block)``: one column's replay."""
+    scales, steps = elimination
+    if not column:
+        return Poly.one()
+    if steps is None:
+        return Poly.zero()
+    x, scale = _to_ints([p * (1 / s) for p, s in zip(column, scales)])
+    for k, (swap, pivot, multipliers, prev) in enumerate(steps):
+        if swap is not None:
+            x[k], x[swap] = x[swap], x[k]
+            scale = -scale
+        x[k + 1:] = [_bareiss(x_i, pivot, a_ik, x[k], prev)
+                     for x_i, a_ik in zip(x[k + 1:], multipliers)]
+    for s in scales:
+        scale *= s
+    return Poly._make(x[-1], scale)
 
 
 def det_poly(M: Sequence[Sequence[Poly]]) -> Poly:
@@ -278,44 +358,12 @@ def det_poly(M: Sequence[Sequence[Poly]]) -> Poly:
     Each row is scaled by its content (the gcd of the numerators over the
     lcm of the denominators of its entries' contents), which leaves an
     integer polynomial matrix; Bareiss runs on it with exact integer
-    division, and the product of the row contents is applied once.
+    division, and the product of the row contents is applied once.  The
+    first m - 1 columns are eliminated by ``_eliminate`` and the last one
+    replayed by ``_bordered_det``.
     """
-    A, scale = [], Fraction(1)
-    for row in M:
-        contents = [p.content for p in row if p.ints]
-        if not contents:
-            return Poly.zero()
-        g = math.gcd(*(c.numerator for c in contents))
-        den = math.lcm(*(c.denominator for c in contents))
-        scale *= Fraction(g, den)
-        ints_row = []
-        for p in row:
-            f = p.content.numerator // g * (den // p.content.denominator)
-            ints_row.append([f * x for x in p.ints])
-        A.append(ints_row)
-    m = len(A)
-    prev = [1]
-    for k in range(m - 1):
-        if not A[k][k]:
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    scale = -scale
-                    break
-            else:
-                return Poly.zero()
-        pivot, row_k = A[k][k], A[k]
-        for row_i in A[k + 1:]:
-            a_ik = row_i[k]
-            for j in range(k + 1, m):
-                num = _ilin(_imul(row_i[j], pivot), 1,
-                            _imul(a_ik, row_k[j]), -1)
-                if k:
-                    num, rem, s = _idivmod(num, prev)
-                    assert s == 1 and not rem, "Bareiss exact division failed"
-                row_i[j] = num
-        prev = pivot
-    return Poly._make(A[-1][-1], scale) if m else Poly.one()
+    return _bordered_det(_eliminate([row[:-1] for row in M]),
+                        [row[-1] for row in M])
 
 
 def det_ratfunc(M: Sequence[Sequence[RatFunc]]) -> RatFunc:
@@ -363,15 +411,22 @@ def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int]) -> GaugedFn:
         return GaugedFn()
     _, present, columns = numerator_ladder(fs, max(orders))
     det = det_poly([[qs[k] for _, qs in columns] for k in orders])
-    # (prod G_j) det / w^S, with 1/w^S moved into the gauge exponents
-    S = sum(orders)
-    exps = [sum(g[i] for g, _ in columns) for i in range(4)]
+    exps, scale = _det_gauge(present, [g for g, _ in columns], sum(orders))
+    return GaugedFn(*exps, r=det * scale)
+
+
+def _det_gauge(present, gauges, S: int) -> Tuple[list, Fraction]:
+    """(exponents, scale) with W = e^a eta^b ((1-eta)/2)^c ((1+eta)/2)^d
+    scale det for a determinant of ladder numerators of row orders summing
+    to S: the product of the column gauges over w^S, with 1/w^S moved
+    into the exponents of its gauge factors."""
+    exps = [sum(g[i] for g in gauges) for i in range(4)]
     scale = Fraction(1)
     for s, (_, const) in enumerate(_LINEAR):
         if present[s]:
             exps[s + 1] -= S
             scale /= Fraction(const) ** S
-    return GaugedFn(*exps, r=det * scale)
+    return exps, scale
 
 
 def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:

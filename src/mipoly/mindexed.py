@@ -14,6 +14,11 @@ Wronskians down to honest polynomials of degrees
 
     ell(D) = sum_j d_j - M(M-1)/2 + 2 s1 s2      and      ell(D) + n.
 
+Everything in the second Wronskian but its last column is independent
+of n: the seed ladders, the Bareiss elimination of the seed block and
+the gauge are cached per (point, index set), and each P_{D,n} builds
+and replays P_n's column alone.
+
 Closed forms for the leading coefficients of Xi_D and P_{D,n}, for the
 eigenvalue factor pi_D(n) = prod_j (E_n - Etilde_{d_j}), and for the
 dual seed functions m_j entering the backward operator are provided and
@@ -32,11 +37,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from .exact import ParamPoint, Poly
+from .exact import FrozenRecord, ParamPoint, Poly
 from .families import (
     GenericityViolation,
     classical_poly,
@@ -46,7 +50,15 @@ from .families import (
     virtual_energy,
     virtual_leading,
 )
-from .gauged import GaugedFn, wronskian
+from .gauged import (
+    GaugedFn,
+    _bordered_det,
+    _det_gauge,
+    _eliminate,
+    _ladder,
+    numerator_ladder,
+    wronskian,
+)
 
 
 class DegenerateLeading(ValueError):
@@ -56,24 +68,23 @@ class DegenerateLeading(ValueError):
 _TOKEN = re.compile(r"^(\d+)(I{1,2})$")
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(FrozenRecord):
     """Virtual-state index set; type1/type2 are the I/II seed indices."""
 
-    family: str
-    type1: Tuple[int, ...] = ()
-    type2: Tuple[int, ...] = ()
+    __slots__ = ("family", "type1", "type2")
 
-    def __post_init__(self):
-        if self.family not in ("L", "J"):
+    def __init__(self, family: str, type1: Sequence[int] = (),
+                 type2: Sequence[int] = ()):
+        if family not in ("L", "J"):
             raise ValueError("index sets exist for families 'L' and 'J'")
-        for name in ("type1", "type2"):
-            entries = tuple(getattr(self, name))
+        sorted_entries = []
+        for name, entries in (("type1", tuple(type1)), ("type2", tuple(type2))):
             if any((not isinstance(v, int)) or v < 0 for v in entries):
                 raise ValueError(f"{name} entries must be integers >= 0")
             if len(set(entries)) != len(entries):
                 raise ValueError(f"repeated index in {name}: {entries}")
-            object.__setattr__(self, name, tuple(sorted(entries)))
+            sorted_entries.append(tuple(sorted(entries)))
+        self._set_fields(family, *sorted_entries)
 
     @classmethod
     def parse(cls, family: str, text: str) -> "IndexSet":
@@ -136,10 +147,15 @@ def seed_functions(pp: ParamPoint, D: IndexSet) -> List[GaugedFn]:
 
 def _xi_gauge(pp: ParamPoint, D: IndexSet, shift: Fraction) -> GaugedFn:
     """Compensating gauge; shift = -1/2 for Xi_D, +1/2 for P_{D,n}."""
+    return GaugedFn(*_xi_exponents(pp, D, shift))
+
+
+def _xi_exponents(pp: ParamPoint, D: IndexSet, shift: Fraction) -> tuple:
+    """The raw exponents (a, b, c, d) of ``_xi_gauge``."""
     s1, s2 = D.s1, D.s2
     if pp.family == "L":
-        return GaugedFn(a=-s1, b=(s1 + pp.g + shift) * s2)
-    return GaugedFn(c=(s1 + pp.g + shift) * s2, d=(s2 + pp.h + shift) * s1)
+        return -s1, (s1 + pp.g + shift) * s2, 0, 0
+    return 0, 0, (s1 + pp.g + shift) * s2, (s2 + pp.h + shift) * s1
 
 
 HALF = Fraction(1, 2)
@@ -164,21 +180,46 @@ def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
 
 
 @functools.lru_cache(maxsize=None)
+def _seed_block(pp: ParamPoint, D: IndexSet) -> tuple:
+    """The part of P_{D,n} = W[mu_1, ..., mu_M, P_n] * gauge that no n changes.
+
+    P_n is the last Wronskian column and carries no gauge, so the common
+    w, the seed ladders, the Bareiss pivots and swaps of the seed block
+    and the gauge exponents all depend on the seeds alone.  Returns
+    (w, elimination, exponents, scale).
+    """
+    M = D.size
+    w, present, columns = numerator_ladder(seed_functions(pp, D), M)
+    elimination = _eliminate([[qs[k] for _, qs in columns]
+                              for k in range(M + 1)])
+    exps, scale = _det_gauge(present, [g for g, _ in columns],
+                             M * (M + 1) // 2)
+    exps = [e + x for e, x in zip(exps, _xi_exponents(pp, D, HALF))]
+    return w, elimination, exps, scale
+
+
+@functools.lru_cache(maxsize=None)
 def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
             check_leading: bool = True) -> Poly:
-    """The multi-indexed polynomial P_{D,n}, of degree ell(D) + n."""
+    """The multi-indexed polynomial P_{D,n}, of degree ell(D) + n.
+
+    Only P_n's own ladder column is built per n; it is replayed through
+    the cached elimination of the seed block, and the gauge folds once.
+    """
     _check(pp, D)
     if n < 0:
         return Poly.zero()
-    cols = seed_functions(pp, D) + [GaugedFn(r=classical_poly(pp, n))]
-    w = wronskian(cols)
-    p = (w * _xi_gauge(pp, D, HALF)).as_poly()
+    w, elimination, exps, scale = _seed_block(pp, D)
+    column = _ladder(classical_poly(pp, n), Poly.zero(), w, D.size)
+    det = _bordered_det(elimination, column)
+    p = GaugedFn(*exps, r=det * scale).as_poly()
     if check_leading and p.degree != D.ell + n:
         raise DegenerateLeading(
             _degree_mismatch(f"P_(D,{n})", p, D.ell + n, D))
     return p
 
 
+@functools.lru_cache(maxsize=None)
 def pi_factor(pp: ParamPoint, D: IndexSet, n: int) -> Fraction:
     """pi_D(n) = prod_j (E_n - Etilde_{d_j})."""
     _check(pp, D)
@@ -189,6 +230,7 @@ def pi_factor(pp: ParamPoint, D: IndexSet, n: int) -> Fraction:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def xi_leading(pp: ParamPoint, D: IndexSet) -> Fraction:
     """Closed form for the eta^ell coefficient of Xi_D."""
     _check(pp, D)
@@ -208,6 +250,7 @@ def xi_leading(pp: ParamPoint, D: IndexSet) -> Fraction:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def p_leading(pp: ParamPoint, D: IndexSet, n: int) -> Fraction:
     """Closed form for the eta^(ell + n) coefficient of P_{D,n}."""
     out = xi_leading(pp, D) * leading_coeff(pp, n)

@@ -9,15 +9,34 @@ expansion through these two actions alone -- a route to the recurrence
 coefficients that never touches the deformed polynomials, nor any
 polynomial in eta.
 
-The matrix route is a column action.  Column n of the operator's shift
-matrix is the expansion of its image of P_n: apply the derivative action
-j times to the basis vector e_n, then sum_i F_ij (eta-action)^i by
-Horner, and add over j.  Both actions are exact on sparse columns, so
-nothing is truncated and no matrix is assembled (``column_action``).
-Composition of index-shift actions reverses order under the matrix
-translation: if S and T act on the family and ST means "T first", then
-the matrix of ST is mat(T) @ mat(S), which is why the eta-powers sit to
-the left of the derivative powers.
+The matrix route uses the bispectral structure of Theta: it acts on
+{P_n} by a finite band.  Three operators generate that action,
+
+    H0 = c_2 d^2 + c_1 d      diagonal:    H0 P_m = -(E_m/4) P_m,
+    eta                       tridiagonal: A_m, B_m, C_m,
+    K  = c_2 d = ([H0, eta] - c_1)/2   tridiagonal, from A_m, B_m, C_m, E_m,
+
+and ``normal_form`` writes Theta = sum_b (u_b(eta) + v_b(eta) K) H0^b by
+top-down division: the order-2b coefficient gives u_b = F_2b / c_2^b,
+the order-(2b+1) one v_b = F_(2b+1) / c_2^(b+1); the multiple of H0^b or
+K H0^b is subtracted and the next order follows.  A nonzero remainder
+raises :class:`DecompositionFailure` with the order, F_J and the divisor.
+Column n of Theta's action is then U_n(eta) e_n + V_n(eta) (K e_n) with
+U_n = sum_b lambda_n^b u_b, V_n = sum_b lambda_n^b v_b and
+lambda_n = -E_n/4: two Horner passes in the eta-action on a column of
+width at most 2L + 1 (``banded_column``), with no derivative action.  So
+the route reads only Theta's coefficients and the classical index data,
+never the other routes' expansions.
+
+The dense column action (``column_action``) serves every other
+operator, such as d alone, which has no band: it applies the derivative
+action j times to the basis vector e_n, then sum_i F_ij (eta-action)^i
+by Horner, and adds over j.  Both actions are exact on sparse columns,
+so nothing is truncated and no matrix is assembled.  Composition of
+index-shift actions reverses order under the matrix translation: if S
+and T act on the family and ST means "T first", then the matrix of ST is
+mat(T) @ mat(S), which is why the eta-powers sit to the left of the
+derivative powers.
 
 The dense matrices (``OpMatrix``) on a truncated slice of the basis
 serve the commutator and power-formula checks.  Truncation spoils the
@@ -37,14 +56,29 @@ The ``*_check`` functions return ``checks.Check`` rows with witnesses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .checks import Report, agree
 from .diffop import DiffOp
-from .exact import ParamPoint, Poly
-from .families import GenericityViolation, cnk, recurrence_abc
+from .exact import (
+    ONE,
+    ZERO,
+    FrozenRecord,
+    ParamPoint,
+    Poly,
+    differentiate,
+    poly_divmod,
+)
+from .families import (
+    GenericityViolation,
+    cnk,
+    energy,
+    recurrence_abc,
+    schrodinger_c1,
+    schrodinger_c2,
+)
 from .mindexed import IndexSet, pi_factor
 from .recurrence import theta_op
 
@@ -167,11 +201,13 @@ def gamma_matrix(pp: ParamPoint, size: int) -> OpMatrix:
 _N = Poly([0, 1])  # the index variable
 
 
-@dataclass(frozen=True)
-class NormalOrderedShift:
+class NormalOrderedShift(FrozenRecord):
     """Substitution operator f(n) |-> f(n + g(n)) for polynomial g."""
 
-    displacement: Poly
+    __slots__ = ("displacement",)
+
+    def __init__(self, displacement: Poly):
+        self._set_fields(displacement)
 
     def apply(self, f: Poly) -> Poly:
         return f.compose(_N + self.displacement)
@@ -377,6 +413,18 @@ def _derivative_column(pp: ParamPoint, col: Column) -> Column:
     return out
 
 
+def _horner(pp: ParamPoint, coeffs, base: Column) -> Column:
+    """p(eta) applied to the expansion `base`, p = sum_i coeffs[i] eta^i,
+    by Horner in the eta-action."""
+    acc = {m: coeffs[-1] * v for m, v in base.items()}
+    for coeff in reversed(coeffs[:-1]):
+        acc = _eta_column(pp, acc)
+        if coeff:
+            for m, v in base.items():
+                acc[m] = acc.get(m, 0) + coeff * v
+    return acc
+
+
 def column_action(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
     """Expansion of theta P_n over {P_m}, nonzero entries only.
 
@@ -392,14 +440,7 @@ def column_action(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
                 break
         if cj.is_zero():
             continue
-        cs = cj.coeffs
-        inner = {m: cs[-1] * v for m, v in dcol.items()}
-        for coeff in reversed(cs[:-1]):
-            inner = _eta_column(pp, inner)
-            if coeff:
-                for m, v in dcol.items():
-                    inner[m] = inner.get(m, 0) + coeff * v
-        for m, v in inner.items():
+        for m, v in _horner(pp, cj.coeffs, dcol).items():
             total[m] = total.get(m, 0) + v
     return {m: v for m, v in sorted(total.items()) if v}
 
@@ -423,18 +464,122 @@ def flat_map(theta: DiffOp, pp: ParamPoint, size: int) -> OpMatrix:
                     max((i - j for j, i in terms), default=-size))
 
 
+# -- the bispectral normal form ----------------------------------------------
+
+
+class DecompositionFailure(ArithmeticError):
+    """An operator is not of the form sum_b (u_b(eta) + v_b(eta) K) H0^b."""
+
+
+def _compose(a: Sequence[Poly], b: Sequence[Poly]) -> List[Poly]:
+    """Coefficients of (sum_i a_i d^i) o (sum_j b_j d^j), by Leibniz."""
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for j, bj in enumerate(b):
+        ders = [bj]
+        for _ in range(len(a) - 1):
+            ders.append(differentiate(ders[-1]))
+        for i, ai in enumerate(a):
+            if ai.is_zero():
+                continue
+            for r in range(i + 1):
+                if not ders[i - r].is_zero():
+                    out[r + j] = out[r + j] + math.comb(i, r) * ai * ders[i - r]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_basis(pp: ParamPoint, order: int) -> Tuple[Poly, ...]:
+    """Coefficients of H0^b (order 2b) or K H0^b (order 2b + 1).
+
+    Its leading coefficient is c_2^b or c_2^(b+1).
+    """
+    if order == 0:
+        return (ONE,)
+    if order % 2:
+        k = (ZERO, schrodinger_c2(pp))
+        return tuple(_compose(k, _normal_basis(pp, order - 1)))
+    h0 = (ZERO, schrodinger_c1(pp), schrodinger_c2(pp))
+    return tuple(_compose(h0, _normal_basis(pp, order - 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def normal_form(theta: DiffOp, pp: ParamPoint) -> Tuple[Tuple[Poly, ...], ...]:
+    """(u, v) with theta = sum_b (u_b(eta) + v_b(eta) K) H0^b.
+
+    Top-down division: the order-J coefficient F_J of what is left is
+    divided by the leading coefficient of the basis element of order J,
+    which gives u_(J/2) (J even) or v_((J-1)/2) (J odd); that multiple
+    of the basis element is subtracted and the order drops.  A nonzero
+    remainder raises DecompositionFailure.
+    """
+    rem = list(theta.poly_coeffs())
+    u = [ZERO] * ((len(rem) + 1) // 2)
+    v = [ZERO] * (len(rem) // 2)
+    while rem:
+        order = len(rem) - 1
+        basis = _normal_basis(pp, order)
+        q, r = poly_divmod(rem[order], basis[order])
+        if not r.is_zero():
+            raise DecompositionFailure(
+                f"order {order}: F_{order} = {rem[order]!r} is not divisible "
+                f"by c_2^{(order + 1) // 2} = {basis[order]!r}")
+        (v if order % 2 else u)[order // 2] = q
+        rem = [f - q * e for f, e in zip(rem, basis)]
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return tuple(u), tuple(v)
+
+
+def _k_column(pp: ParamPoint, m: int) -> Column:
+    """K P_m = c_2 P_m' over {P_(m-1), P_m, P_(m+1)}.
+
+    From [H0, eta] = 2K + c_1, with H0 P_m = lambda_m P_m for
+    lambda_m = -E_m/4 and c_1 = c10 + c11 eta.
+    """
+    c1 = schrodinger_c1(pp)
+    c10, c11 = c1.coeff(0), c1.coeff(1)
+    A, B, C = recurrence_abc(pp, m)
+    lam = -energy(pp, m) / 4
+    entries = ((m + 1, A * (-energy(pp, m + 1) / 4 - lam - c11)),
+               (m, -(c10 + c11 * B)),
+               (m - 1, C * (-energy(pp, m - 1) / 4 - lam - c11)))
+    return {row: c / 2 for row, c in entries if c and row >= 0}
+
+
+def banded_column(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
+    """Expansion of theta P_n over {P_m} from the normal form of theta.
+
+    Column n is U_n(eta) e_n + V_n(eta) (K e_n) with
+    U_n = sum_b lambda_n^b u_b and V_n = sum_b lambda_n^b v_b: two Horner
+    passes in the eta-action, on columns at most 2 deg U_n + 1 wide.
+    """
+    lam = -energy(pp, n) / 4
+    total: Column = {}
+    for polys, base in zip(normal_form(theta, pp),
+                           ({n: Fraction(1)}, _k_column(pp, n))):
+        p = ZERO
+        for poly in reversed(polys):
+            p = p * lam + poly
+        if p.is_zero() or not base:
+            continue
+        for m, v in _horner(pp, p.coeffs, base).items():
+            total[m] = total.get(m, 0) + v
+    return {m: v for m, v in sorted(total.items()) if v}
+
+
 def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,
                           n: int) -> Dict[int, Fraction]:
-    """r_{n,k} read off the index-shift action of the conjugated operator.
+    """r_{n,k} read off the banded index-shift action of Theta.
 
     Column n of the action expands the operator image of P_n over the
-    classical family; dividing each row m by the eigenvalue product at m
-    yields the recurrence coefficients.  Every nonzero entry of the
-    column is returned, so an entry outside |k| <= L shows up as a
-    disagreement with the other routes instead of being dropped.
+    classical family (``banded_column``); dividing each row m by the
+    eigenvalue product at m yields the recurrence coefficients.  Every
+    nonzero entry of the column is returned, so an entry outside
+    |k| <= L shows up as a disagreement with the other routes instead of
+    being dropped.
     """
     out: Dict[int, Fraction] = {}
-    for m, v in column_action(theta_op(pp, D, Y), pp, n).items():
+    for m, v in banded_column(theta_op(pp, D, Y), pp, n).items():
         pi = pi_factor(pp, D, m)
         if pi == 0:
             raise GenericityViolation(

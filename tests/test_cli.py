@@ -5,16 +5,22 @@ shell user sees; stdout is parsed back as JSON and compared exactly.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import mipoly
+import mipoly.shiftalg as shiftalg
 from mipoly import cli
 from mipoly.checks import show
 from mipoly.cli import main
+from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
 from mipoly.mindexed import IndexSet, mi_poly
-from mipoly.recurrence import theta_op
+from mipoly.recurrence import recurrence_direct, theta_op
 
 
 def run_json(capsys, argv):
@@ -188,6 +194,40 @@ def test_recurrence_names_route_witness(capsys, monkeypatch):
     assert [r["n"] for r in doc["results"]["rows"]] == [0, 1, 2, 3, 4]
 
 
+def test_recurrence_decomposition_failure_is_a_witness(capsys, monkeypatch):
+    # d alone has no normal form sum_b (u_b + v_b K) H0^b: the matrix
+    # route fails as a route_agreement case, not as a traceback
+    monkeypatch.setattr(shiftalg, "theta_op",
+                        lambda pp, D, Y: DiffOp([0, Poly.one()]))
+    code = main(["recurrence", "--family", "L", "--g", "7/3",
+                 "--indices", "1I", "--nmax", "2"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert "Traceback" not in captured.err
+    want = recurrence_direct(ParamPoint("L", g=F(7, 3)),
+                             IndexSet.parse("L", "1I"), Poly.one(), 0)
+    assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]] == [
+        ("route_agreement", "fail",
+         "direct, operator and matrix routes for n <= 2; 3 of 6 cases fail, "
+         f"first at n=0, matrix route: expected {show(want)}, got "
+         "DecompositionFailure: order 1: F_1 = Poly(1) is not divisible "
+         "by c_2^1 = Poly(1*eta)")]
+
+
+def test_verify_decomposition_failure_is_a_witness(capsys, monkeypatch):
+    monkeypatch.setattr(shiftalg, "theta_op",
+                        lambda pp, D, Y: DiffOp([0, Poly.one()]))
+    code, doc = run_json(capsys, ["verify", "--suite", "recurrence",
+                                  "--samples", "1", "--nmax", "1"])
+    assert code == 1
+    assert doc["checks"] and all(
+        c["status"] == "fail" and c["name"].startswith("recurrence/routes[")
+        and "matrix route" in c["detail"]
+        and "got DecompositionFailure: order 1: F_1 = Poly(1)" in c["detail"]
+        for c in doc["checks"])
+
+
 @pytest.mark.parametrize("command", [
     ["construct", "--family", "L", "--g", "7/3", "--indices", "1I"],
     ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I"],
@@ -294,3 +334,16 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("mipoly construct")
     assert "PASS" in out
+
+
+def test_cold_import_skips_dataclasses():
+    # every CLI call pays its imports; the records are plain slotted
+    # classes, so dataclasses (and inspect behind it) stay unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mipoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import mipoly.cli, sys; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -20,6 +20,8 @@ from mipoly.gauged import (
     GaugedFn,
     GaugeMismatch,
     NotPolynomial,
+    _bordered_det,
+    _eliminate,
     det_poly,
     det_ratfunc,
     numerator_ladder,
@@ -222,6 +224,41 @@ def test_bareiss_singular_after_pivot_swap():
     assert not rows[1][0].is_zero()
     assert det_poly(rows).is_zero()
     assert det_oracle([[RatFunc(p) for p in row] for row in rows]).is_zero()
+
+
+@pytest.mark.parametrize("seed,swap_at", [(5, 0), (6, 1), (7, 2)])
+def test_bordered_replay_through_swaps(seed, swap_at):
+    # one elimination of a 4 x 3 block whose pivot at step swap_at needs a
+    # row swap, replayed for several last columns (a Wronskian seed block
+    # never swaps: its leading minors are the Wronskians of the first
+    # seeds, so the swap path is checked on generic rows)
+    rng = random.Random(seed)
+    rows = _rational_rows(rng, 4)
+    block = [row[:3] for row in rows]
+    if swap_at == 0:
+        block[0][0] = Poly.zero()
+    else:   # make the leading (swap_at + 1)-minor vanish
+        block[swap_at] = [Fraction(3, 2) * p for p in block[swap_at - 1]]
+    elimination = _eliminate(block)
+    assert elimination[1][swap_at][0] is not None
+    for trial in range(3):
+        column = [row[3] for row in _rational_rows(rng, 4)]
+        full = [b + [c] for b, c in zip(block, column)]
+        det = _bordered_det(elimination, column)
+        assert not det.is_zero()
+        assert det == det_poly(full)
+        assert RatFunc(det) == det_oracle([[RatFunc(p) for p in row]
+                                           for row in full])
+
+
+def test_bordered_replay_of_a_dependent_block():
+    rows = _rational_rows(random.Random(8), 4)
+    block = [row[:3] for row in rows]
+    for row in block:
+        row[2] = Fraction(-5, 7) * row[0]
+    elimination = _eliminate(block)
+    assert elimination[1] is None
+    assert _bordered_det(elimination, [row[3] for row in rows]).is_zero()
 
 
 def test_det_ratfunc_with_denominators():

@@ -18,7 +18,9 @@ from mipoly.families import (
     delta_shift,
     twisted,
 )
+from mipoly.gauged import GaugedFn, wronskian
 from mipoly.mindexed import (
+    HALF,
     DegenerateLeading,
     IndexSet,
     check_genericity,
@@ -30,6 +32,7 @@ from mipoly.mindexed import (
     seed_functions,
     xi_leading,
     xi_poly,
+    _xi_gauge,
 )
 
 F = Fraction
@@ -245,3 +248,15 @@ def test_pi_factor_products():
                   * (4 * n * (n + JG.g + JG.h)
                      + 4 * (JG.g - F(5, 2)) * (JG.h + F(5, 2))))
         assert pi_factor(JG, D, n) == expect
+
+
+@pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
+@pytest.mark.parametrize("label", ["", "1I", "1I,2II", "1I,3I,2II"])
+def test_mi_poly_replay_matches_full_wronskian(pp, label):
+    # mi_poly replays P_n's column through the cached seed-block
+    # elimination; the oracle is the whole Wronskian times the gauge
+    D = IndexSet.parse(pp.family, label)
+    seeds = seed_functions(pp, D)
+    for n in range(31):
+        w = wronskian(seeds + [GaugedFn(r=classical_poly(pp, n))])
+        assert mi_poly(pp, D, n) == (w * _xi_gauge(pp, D, HALF)).as_poly(), n

@@ -10,6 +10,7 @@ recurrence coefficients, which has to agree entrywise with the direct
 expansion route and reproduce the explicit closed-form tables.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from mipoly.families import (
     expand_in_classical,
     jacobi_ank,
     recurrence_abc,
+    schrodinger_c1,
+    schrodinger_c2,
 )
 from mipoly.mindexed import IndexSet
 import mipoly.shiftalg as shiftalg
@@ -31,17 +34,21 @@ from mipoly.recurrence import (
     theta_op,
 )
 from mipoly.shiftalg import (
+    DecompositionFailure,
     NormalOrderedShift,
     OpMatrix,
     SafeWindowExhausted,
+    banded_column,
     bnk_value,
     collapsing_shift,
+    column_action,
     commutator_check,
     delta_matrix,
     delta_power_matrix,
     flat_map,
     gamma_matrix,
     gamma_power_matrix,
+    normal_form,
     power_formulas_check,
     recurrence_bispectral,
     star_identities_check,
@@ -355,3 +362,85 @@ def test_jacobi_far_lower_entries_vanish():
     for n in range(flat.safe + 1):
         for m in range(0, n - 2):
             assert flat.entries[m][n] == 0, (m, n)
+
+
+# -- the bispectral normal form and the banded route --------------------------
+
+
+BANDED_CASES = [  # (index set, Y, nmax): 1-3 seeds, Y in {1, eta, 1 + eta^2}
+    ("1I", Poly([1, 0, 1]), 40),
+    ("2II", ETA, 40),
+    ("1I,2II", Poly.one(), 40),
+    ("1I,3I,2II", Poly.one(), 20),
+]
+
+
+@pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
+@pytest.mark.parametrize("label,Y,nmax", BANDED_CASES,
+                         ids=[case[0] for case in BANDED_CASES])
+def test_banded_columns_equal_column_action(pp, label, Y, nmax):
+    theta = theta_op(pp, IndexSet.parse(pp.family, label), Y)
+    for n in range(nmax + 1):
+        assert banded_column(theta, pp, n) == column_action(theta, pp, n), n
+
+
+@pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
+@pytest.mark.parametrize("label,Y", [("1I", ETA), ("1I,2II", Poly([1, 0, 1]))],
+                         ids=["1I", "1I,2II"])
+def test_normal_form_recomposes_theta(pp, label, Y):
+    # sum_b (u_b + v_b K) H0^b rebuilt with DiffOp.compose is Theta again
+    theta = theta_op(pp, IndexSet.parse(pp.family, label), Y)
+    u, v = normal_form(theta, pp)
+    c1, c2 = schrodinger_c1(pp), schrodinger_c2(pp)
+    h0, k = DiffOp([0, c1, c2]), DiffOp([0, c2])
+    total, power = DiffOp(), DiffOp.identity()
+    for b in range(len(u)):
+        total = total + power.left_mul(u[b])
+        if b < len(v):
+            total = total + k.compose(power).left_mul(v[b])
+        power = h0.compose(power)
+    assert total == theta
+    L = recurrence_order(IndexSet.parse(pp.family, label), Y)
+    assert {p.degree for p in u} == {L} and {p.degree for p in v} == {L - 1}
+
+
+@pytest.mark.parametrize("pp", [LG, JG])
+def test_k_column_matches_expansion(pp):
+    c2 = schrodinger_c2(pp)
+    for m in range(12):
+        want = expand_in_classical(
+            pp, c2 * differentiate(classical_poly(pp, m)))
+        assert shiftalg._k_column(pp, m) == want, m
+
+
+def test_normal_form_of_a_multiplication():
+    assert normal_form(DiffOp([ETA ** 3]), LG) == ((ETA ** 3,), ())
+
+
+@pytest.mark.parametrize("pp,divisor", [(LG, "Poly(1*eta)"),
+                                        (JG, "Poly(1 + -1*eta^2)")])
+def test_decomposition_failure_names_order_and_divisor(pp, divisor):
+    with pytest.raises(DecompositionFailure) as info:
+        normal_form(DiffOp([0, Poly.one()]), pp)
+    assert str(info.value) == (
+        f"order 1: F_1 = Poly(1) is not divisible by c_2^1 = {divisor}")
+
+
+def test_matrix_route_is_derivative_free(monkeypatch):
+    # the banded route reads Theta and A_m, B_m, C_m, E_m only: no
+    # derivative expansion and none of the other routes' expansions
+    D, Y = IndexSet("J", (1,), (2,)), ETA
+    theta_op(JG, D, Y)                       # built before the patches
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the matrix route must not call this")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mipoly."):
+            for name in ("cnk", "classical_poly", "expand_in_classical",
+                         "mi_poly"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    got = [recurrence_bispectral(JG, D, Y, n) for n in range(6)]
+    monkeypatch.undo()
+    assert got == [recurrence_direct(JG, D, Y, n) for n in range(6)]
