@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Optional, Tuple
 
 from .exact import ETA, ParamPoint, Poly, pochhammer, rat
 from .gauged import GaugedFn
@@ -257,30 +257,38 @@ def cnk(pp: ParamPoint, n: int, k: int) -> Fraction:
         return Fraction(2 * n) if k == 1 else Fraction(0)
     if pp.family == "L":
         return Fraction(-1)
-    return _jacobi_cnk_row(pp, n)[k - 1]
+    row = _jacobi_cnk_row(pp, n)
+    if row is not None:
+        return row[k - 1]
+    a, b = alpha_of(pp), beta_of(pp)
+    return (n + a + b + 1) / 2 * jacobi_ank(a, b, n - 1, k - 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobi_cnk_row(pp: ParamPoint, n: int) -> Tuple[Fraction, ...]:
-    """(c_{n,1}, ..., c_{n,n}) for Jacobi, from one sweep of a_{n-1,k}."""
-    a, b = alpha_of(pp), beta_of(pp)
-    scale = (n + a + b + 1) / 2
-    return tuple(scale * x for x in _jacobi_ank_row(a, b, n - 1))
+def _jacobi_cnk_row(pp: ParamPoint, n: int) -> Optional[Tuple[Fraction, ...]]:
+    """(c_{n,1}, ..., c_{n,n}) for Jacobi, from one O(n) sweep of a_{n-1,k}.
 
-
-def jacobi_ank(a: Fraction, b: Fraction, n: int, k: int) -> Fraction:
-    """a_{n,k}: coefficient of P_{n-k}^(a,b) in P_n^(a+1,b+1)."""
-    if k < 0 or k > n:
-        return Fraction(0)
-    return _jacobi_ank_row(a, b, n)[k]
-
-
-def _jacobi_ank_row(a: Fraction, b: Fraction, n: int) -> List[Fraction]:
-    """a_{n,0}, ..., a_{n,n} in one O(n) sweep.
-
-    a_{n,k} = alpha_{n-k} b_k with b_1 = beta_n, c_1 = gamma_n and
-    (b_{k+1}, c_{k+1}) = (beta_{n-k} b_k + c_k, gamma_{n-k} b_k).
+    The sweep is jacobi_ank's recursion run once through k = n - 1, so
+    it meets every denominator of the row.  When one of them vanishes it
+    returns None and cnk falls back to the entry's own O(k) product,
+    which raises only if a denominator on that entry's path vanishes.
     """
+    a, b = alpha_of(pp), beta_of(pp)
+    alph, bet, gam = _jacobi_ratios(a, b)
+    m = n - 1
+    try:
+        row, bk, ck = [alph(m)], 1, 0
+        for k in range(1, m + 1):
+            bk, ck = bet(m - k + 1) * bk + ck, gam(m - k + 1) * bk
+            row.append(alph(m - k) * bk)
+    except GenericityViolation:
+        return None
+    scale = (n + a + b + 1) / 2
+    return tuple(scale * x for x in row)
+
+
+def _jacobi_ratios(a: Fraction, b: Fraction):
+    """alpha_m, beta_m, gamma_m of the a_{n,k} recursion, as functions of m."""
     s = a + b
 
     def alph(m):
@@ -295,15 +303,20 @@ def _jacobi_ank_row(a: Fraction, b: Fraction, n: int) -> List[Fraction]:
         return (m + a) * (m + b) * (2 * m + s + 2) / _nonzero(
             (m + s + 1) * (m + s + 2) * (2 * m + s), "gamma_n denominator")
 
-    row = [alph(n)]
-    if n == 0:
-        return row
+    return alph, bet, gam
+
+
+def jacobi_ank(a: Fraction, b: Fraction, n: int, k: int) -> Fraction:
+    """a_{n,k}: coefficient of P_{n-k}^(a,b) in P_n^(a+1,b+1)."""
+    if k < 0 or k > n:
+        return Fraction(0)
+    alph, bet, gam = _jacobi_ratios(a, b)
+    if k == 0:
+        return alph(n)
     bk, ck = bet(n), gam(n)
-    for k in range(1, n + 1):
-        if k > 1:
-            bk, ck = bet(n - k + 1) * bk + ck, gam(n - k + 1) * bk
-        row.append(alph(n - k) * bk)
-    return row
+    for j in range(1, k):
+        bk, ck = bet(n - j) * bk + ck, gam(n - j) * bk
+    return alph(n - k) * bk
 
 
 def expand_in_classical(pp: ParamPoint, q: Poly) -> Dict[int, Fraction]:

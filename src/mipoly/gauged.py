@@ -37,8 +37,9 @@ polynomials (``det_poly``), with no denominator clearing and no gcd per
 derivative; the power of w goes back into the gauge exponents.  The
 Bareiss pivots and row swaps depend on all columns but the last, so the
 elimination of those is recorded once (``_eliminate``) and a last column
-is replayed through the record alone (``_bordered_det``); that is how
-each P_{D,n} costs one column in ``mindexed``.
+is replayed through the record alone (``_bordered_det``).
+``bordered_wronskian`` packages this for a polynomial last column: that
+is how each P_{D,n} costs one column in ``mindexed``.
 ``wronskian_rows`` takes an arbitrary list of derivative orders for the
 rows, which is what the operator minors downstream need.
 
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .checks import Report, agree
 from .exact import (
@@ -432,6 +433,32 @@ def _det_gauge(present, gauges, S: int) -> Tuple[list, Fraction]:
 def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
     """Classical Wronskian W[f_1, ..., f_m]."""
     return wronskian_rows(fs, list(range(len(fs))))
+
+
+def bordered_wronskian(fs: Sequence[GaugedFn],
+                       gauge: Sequence) -> Callable[[Poly], GaugedFn]:
+    """The map p |-> G W[f_1, ..., f_m, p] on plain polynomials p.
+
+    G = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d for gauge = (a, b, c, d).
+    The ladders of the f_j, the Bareiss elimination of their block and
+    the gauge are built here, once.  Each call builds p's ladder (E = 0,
+    as p carries no gauge), replays it through the elimination and folds
+    the gauge once, so it equals (wronskian(fs + [p]) * G) at the cost of
+    one column.
+    """
+    m = len(fs)
+    w, present, columns = numerator_ladder(fs, m)
+    elimination = _eliminate([[qs[k] for _, qs in columns]
+                              for k in range(m + 1)])
+    exps, scale = _det_gauge(present, [g for g, _ in columns],
+                             m * (m + 1) // 2)
+    exps = [e + x for e, x in zip(exps, gauge)]
+
+    def bordered(p: Poly) -> GaugedFn:
+        det = _bordered_det(elimination, _ladder(p, Poly.zero(), w, m))
+        return GaugedFn(*exps, r=det * scale)
+
+    return bordered
 
 
 # -- seeded identity suite ---------------------------------------------------

@@ -50,15 +50,7 @@ from .families import (
     virtual_energy,
     virtual_leading,
 )
-from .gauged import (
-    GaugedFn,
-    _bordered_det,
-    _det_gauge,
-    _eliminate,
-    _ladder,
-    numerator_ladder,
-    wronskian,
-)
+from .gauged import GaugedFn, bordered_wronskian, wronskian
 
 
 class DegenerateLeading(ValueError):
@@ -180,22 +172,15 @@ def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
 
 
 @functools.lru_cache(maxsize=None)
-def _seed_block(pp: ParamPoint, D: IndexSet) -> tuple:
-    """The part of P_{D,n} = W[mu_1, ..., mu_M, P_n] * gauge that no n changes.
+def _seed_wronskian(pp: ParamPoint, D: IndexSet):
+    """p |-> W[mu_1, ..., mu_M, p] times the P_{D,n} gauge.
 
-    P_n is the last Wronskian column and carries no gauge, so the common
-    w, the seed ladders, the Bareiss pivots and swaps of the seed block
-    and the gauge exponents all depend on the seeds alone.  Returns
-    (w, elimination, exponents, scale).
+    Everything but the last column depends on the seeds alone, so the
+    seed ladders, their Bareiss elimination and the gauge are built once
+    per (point, index set).
     """
-    M = D.size
-    w, present, columns = numerator_ladder(seed_functions(pp, D), M)
-    elimination = _eliminate([[qs[k] for _, qs in columns]
-                              for k in range(M + 1)])
-    exps, scale = _det_gauge(present, [g for g, _ in columns],
-                             M * (M + 1) // 2)
-    exps = [e + x for e, x in zip(exps, _xi_exponents(pp, D, HALF))]
-    return w, elimination, exps, scale
+    return bordered_wronskian(seed_functions(pp, D),
+                              _xi_exponents(pp, D, HALF))
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,10 +194,7 @@ def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
     _check(pp, D)
     if n < 0:
         return Poly.zero()
-    w, elimination, exps, scale = _seed_block(pp, D)
-    column = _ladder(classical_poly(pp, n), Poly.zero(), w, D.size)
-    det = _bordered_det(elimination, column)
-    p = GaugedFn(*exps, r=det * scale).as_poly()
+    p = _seed_wronskian(pp, D)(classical_poly(pp, n)).as_poly()
     if check_leading and p.degree != D.ell + n:
         raise DegenerateLeading(
             _degree_mismatch(f"P_(D,{n})", p, D.ell + n, D))

@@ -56,9 +56,8 @@ The ``*_check`` functions return ``checks.Check`` rows with witnesses.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .checks import Report, agree
 from .diffop import DiffOp
@@ -68,7 +67,6 @@ from .exact import (
     FrozenRecord,
     ParamPoint,
     Poly,
-    differentiate,
     poly_divmod,
 )
 from .families import (
@@ -471,22 +469,6 @@ class DecompositionFailure(ArithmeticError):
     """An operator is not of the form sum_b (u_b(eta) + v_b(eta) K) H0^b."""
 
 
-def _compose(a: Sequence[Poly], b: Sequence[Poly]) -> List[Poly]:
-    """Coefficients of (sum_i a_i d^i) o (sum_j b_j d^j), by Leibniz."""
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for j, bj in enumerate(b):
-        ders = [bj]
-        for _ in range(len(a) - 1):
-            ders.append(differentiate(ders[-1]))
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for r in range(i + 1):
-                if not ders[i - r].is_zero():
-                    out[r + j] = out[r + j] + math.comb(i, r) * ai * ders[i - r]
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _normal_basis(pp: ParamPoint, order: int) -> Tuple[Poly, ...]:
     """Coefficients of H0^b (order 2b) or K H0^b (order 2b + 1).
@@ -496,10 +478,11 @@ def _normal_basis(pp: ParamPoint, order: int) -> Tuple[Poly, ...]:
     if order == 0:
         return (ONE,)
     if order % 2:
-        k = (ZERO, schrodinger_c2(pp))
-        return tuple(_compose(k, _normal_basis(pp, order - 1)))
-    h0 = (ZERO, schrodinger_c1(pp), schrodinger_c2(pp))
-    return tuple(_compose(h0, _normal_basis(pp, order - 2)))
+        left, prev = DiffOp([ZERO, schrodinger_c2(pp)]), order - 1
+    else:
+        left = DiffOp([ZERO, schrodinger_c1(pp), schrodinger_c2(pp)])
+        prev = order - 2
+    return left.compose(DiffOp(_normal_basis(pp, prev))).poly_coeffs()
 
 
 @functools.lru_cache(maxsize=None)

@@ -149,6 +149,29 @@ def test_derivative_expansion(pp):
         assert cnk(pp, n, n + 1) == 0
 
 
+@pytest.mark.parametrize("g, h", [(F(7, 3), F(9, 4)), (F(-1), F(-1)),
+                                  (F(-1, 2), F(3, 2))])
+def test_jacobi_cnk_row_matches_each_entry(g, h):
+    # cnk reads a cached row; each entry, and whether it raises, is that
+    # of its own O(k) product, also where a denominator elsewhere in the
+    # row vanishes (g = h = -1 has a + b = -3)
+    pp = ParamPoint("J", g=g, h=h)
+    a, b = g - F(1, 2), h - F(1, 2)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            try:
+                want = (n + a + b + 1) / 2 * jacobi_ank(a, b, n - 1, k - 1)
+            except GenericityViolation as exc:
+                with pytest.raises(GenericityViolation, match=str(exc)):
+                    cnk(pp, n, k)
+            else:
+                assert cnk(pp, n, k) == want, (n, k)
+    if g == -1:
+        # the sweep of row 5 meets the vanishing alpha_2 denominator, yet
+        # c_{5,1} = (5 + a + b + 1)/2 alpha_4 = 3/2 * 7
+        assert cnk(pp, 5, 1) == F(21, 2)
+
+
 def test_laguerre_derivative_and_index_shift():
     # d/deta L_n^(a) = -L_{n-1}^(a+1)  and  L_{n-1}^(a) + L_n^(a-1) = L_n^(a)
     for pp in LAGUERRES:

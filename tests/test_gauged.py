@@ -22,6 +22,7 @@ from mipoly.gauged import (
     NotPolynomial,
     _bordered_det,
     _eliminate,
+    bordered_wronskian,
     det_poly,
     det_ratfunc,
     numerator_ladder,
@@ -259,6 +260,20 @@ def test_bordered_replay_of_a_dependent_block():
     elimination = _eliminate(block)
     assert elimination[1] is None
     assert _bordered_det(elimination, [row[3] for row in rows]).is_zero()
+
+
+@given(st.lists(gauged_fns(), min_size=0, max_size=3),
+       st.lists(small_polys(), min_size=1, max_size=3),
+       st.tuples(st.integers(min_value=-1, max_value=1), small_rationals,
+                 small_rationals, small_rationals))
+@settings(max_examples=25, deadline=None)
+def test_bordered_wronskian_is_wronskian_times_gauge(fs, ps, gauge):
+    # one elimination of the f_j, replayed for several plain last columns
+    bordered = bordered_wronskian(fs, gauge)
+    for p in ps:
+        want = wronskian_oracle(fs + [GaugedFn.from_poly(p)],
+                                list(range(len(fs) + 1))) * GaugedFn(*gauge)
+        assert bordered(p) == want
 
 
 def test_det_ratfunc_with_denominators():
