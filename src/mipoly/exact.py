@@ -14,8 +14,8 @@ the scalar type of every public value.  On top of it sit
   each: a product of primitive parts is primitive (Gauss's lemma), so
   ``*`` and ``**`` need no gcd at all; ``+``/``-`` form one integer linear
   combination and divide out its gcd.  ``coeffs``, ``coeff``, ``lc`` and
-  evaluation hand out Fractions, built on demand, and ``to_strings``
-  prints them.  The zero polynomial has degree ``NEG_INF`` (a sentinel,
+  evaluation hand out Fractions, built on demand; ``to_strings`` prints
+  the coefficients from the integer parts, with no Fraction.  The zero polynomial has degree ``NEG_INF`` (a sentinel,
   never ``-1``), so degree bookkeeping in the Wronskian/recurrence layers
   stays honest.
 * :class:`RatFunc` -- a quotient of two Polys kept in normal form:
@@ -256,8 +256,18 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def to_strings(self) -> list:
-        """JSON form: coefficient strings, ascending degree."""
-        return [rat_str(c) for c in self.coeffs]
+        """JSON form: coefficient strings, ascending degree.
+
+        Each coefficient n x / d (content n/d) is put in lowest terms as
+        (n x / g) / (d / g) with g = gcd(x, d), with no Fraction built;
+        the text is what ``rat_str`` gives.
+        """
+        n, d = self.content.numerator, self.content.denominator
+        out = []
+        for x in self.ints:
+            g = math.gcd(x, d)
+            out.append(str(n * x // g) if g == d else f"{n * x // g}/{d // g}")
+        return out
 
 
 #: The variable itself, and common constants.
@@ -395,14 +405,15 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 def pochhammer(x: ScalarLike, n: int) -> Fraction:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1.
+
+    With x = p/q, the product runs over Z: prod (p + i q) / q^n.
+    """
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     x = rat(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
 
 
 class RatFunc:

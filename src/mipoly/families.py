@@ -29,6 +29,7 @@ than silently producing nonsense.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -110,15 +111,8 @@ def leading_coeff(pp: ParamPoint, n: int) -> Fraction:
     if pp.family == "H":
         return Fraction(2) ** n
     if pp.family == "L":
-        return Fraction((-1) ** n, _factorial(n))
-    return pochhammer(n + pp.g + pp.h, n) / (Fraction(2) ** n * _factorial(n))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        return Fraction((-1) ** n, math.factorial(n))
+    return pochhammer(n + pp.g + pp.h, n) / (Fraction(2) ** n * math.factorial(n))
 
 
 def energy(pp: ParamPoint, n: int) -> Fraction:
@@ -215,7 +209,7 @@ def virtual_leading(pp: ParamPoint, vtype: str, v: int) -> Fraction:
     if pp.family == "L":
         if vtype == "I":
             # c_v at twisted parameters times the sign of the eta -> -eta flip
-            return Fraction(1, _factorial(v))
+            return Fraction(1, math.factorial(v))
         return leading_coeff(twisted(pp, "II"), v)
     if pp.family == "J":
         return leading_coeff(twisted(pp, vtype), v)

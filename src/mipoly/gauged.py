@@ -38,10 +38,20 @@ derivative; the power of w goes back into the gauge exponents.  The
 Bareiss pivots and row swaps depend on all columns but the last, so the
 elimination of those is recorded once (``_eliminate``) and a last column
 is replayed through the record alone (``_bordered_det``).
-``bordered_wronskian`` packages this for a polynomial last column: that
-is how each P_{D,n} costs one column in ``mindexed``.
 ``wronskian_rows`` takes an arbitrary list of derivative orders for the
 rows, which is what the operator minors downstream need.
+
+Bordered Wronskians.  A plain polynomial p as the last column has the
+ladder q_k = w^k p^(k), and the determinant is linear in that column, so
+
+    G W[f_1, ..., f_m, p] = sum_k R_k p^(k),   R_k = G scale C_k w^k,
+
+with C_k = det [block | e_k] the cofactor of row k.
+``bordered_wronskian`` replays the m + 1 unit columns once, folds the
+gauge G into the R_k once and keeps the result as a
+:class:`CofactorFunctional`; applying it to p takes m integer
+derivatives and one product per nonzero R_k.  That is how each P_{D,n}
+is built in ``mindexed``.
 
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
@@ -56,7 +66,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .checks import Report, agree
 from .exact import (
@@ -435,16 +445,55 @@ def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
     return wronskian_rows(fs, list(range(len(fs))))
 
 
+class CofactorFunctional:
+    """p |-> G W[f_1, ..., f_m, p] = gauge * sum_k R_k p^(k) / den.
+
+    The R_k are stored as integer coefficient lists ``cofactors`` times one
+    rational ``unit``; ``den`` is the polynomial left over from negative
+    integer gauge exponents that do not divide every R_k (1 whenever the
+    result is a polynomial), and ``gauge`` holds the remaining exponents
+    in GaugedFn normal form.  Built by ``bordered_wronskian``.
+    """
+
+    __slots__ = ("gauge", "cofactors", "unit", "den")
+
+    def __init__(self, gauge: Sequence, cofactors: list, unit: Fraction,
+                 den: Poly):
+        self.gauge, self.cofactors, self.unit, self.den = \
+            gauge, cofactors, unit, den
+
+    def __call__(self, p: Poly) -> GaugedFn:
+        ints, acc = list(p.ints), []
+        for k, cofactor in enumerate(self.cofactors):
+            if k:   # ints is now the k-th derivative of p's integer part
+                ints = [i * c for i, c in enumerate(ints[1:], 1)]
+            if cofactor and ints:
+                acc = _ilin(acc, 1, _imul(cofactor, ints), 1)
+        r = Poly._make(acc, self.unit * p.content)
+        if self.den.degree > 0:   # lowest terms needed only over a real den
+            return GaugedFn(*self.gauge, r=RatFunc(r, self.den))
+        return GaugedFn(*self.gauge, r=RatFunc._reduced(r, self.den))
+
+
+_BASES = (ETA, _HALF_MINUS, _HALF_PLUS)   # the gauge bases of slots b, c, d
+
+
 def bordered_wronskian(fs: Sequence[GaugedFn],
-                       gauge: Sequence) -> Callable[[Poly], GaugedFn]:
+                       gauge: Sequence) -> CofactorFunctional:
     """The map p |-> G W[f_1, ..., f_m, p] on plain polynomials p.
 
     G = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d for gauge = (a, b, c, d).
-    The ladders of the f_j, the Bareiss elimination of their block and
-    the gauge are built here, once.  Each call builds p's ladder (E = 0,
-    as p carries no gauge), replays it through the elimination and folds
-    the gauge once, so it equals (wronskian(fs + [p]) * G) at the cost of
-    one column.
+    A plain p carries no gauge (E = 0), so its ladder is q_k = w^k p^(k),
+    and expanding det [block | q] along its last column gives
+
+        G W[f_1, ..., f_m, p] = sum_k R_k p^(k),  R_k = G scale C_k w^k,
+
+    with C_k = det [block | e_k] the cofactor of row k.  The C_k come from
+    replaying the m + 1 unit columns through one Bareiss elimination of
+    the seed block; the integer parts of G's exponents are folded into
+    the R_k here, once (negative ones by exact division while every R_k
+    goes through), and the elimination is dropped.  Each call then costs
+    m integer derivatives of p and one product per nonzero R_k.
     """
     m = len(fs)
     w, present, columns = numerator_ladder(fs, m)
@@ -453,12 +502,28 @@ def bordered_wronskian(fs: Sequence[GaugedFn],
     exps, scale = _det_gauge(present, [g for g, _ in columns],
                              m * (m + 1) // 2)
     exps = [e + x for e, x in zip(exps, gauge)]
-
-    def bordered(p: Poly) -> GaugedFn:
-        det = _bordered_det(elimination, _ladder(p, Poly.zero(), w, m))
-        return GaugedFn(*exps, r=det * scale)
-
-    return bordered
+    num, lowered = Poly.const(scale), []
+    for s, base in enumerate(_BASES, 1):
+        n = math.floor(exps[s])
+        exps[s] -= n
+        if n > 0:
+            num = num * base ** n
+        elif n < 0:
+            lowered.append((base, -n))
+    zero, one = Poly.zero(), Poly.one()
+    rs = [num * _bordered_det(elimination,
+                              [one if i == k else zero for i in range(m + 1)])
+          * w ** k for k in range(m + 1)]
+    den = one
+    for base, n in lowered:
+        while n:
+            split = [poly_divmod(r, base) for r in rs]
+            if any(not rem.is_zero() for _, rem in split):
+                break
+            rs, n = [q for q, _ in split], n - 1
+        den = den * base ** n
+    cofactors, unit = _to_ints(rs)
+    return CofactorFunctional(exps, cofactors, unit, den)
 
 
 # -- seeded identity suite ---------------------------------------------------

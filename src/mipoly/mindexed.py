@@ -14,10 +14,18 @@ Wronskians down to honest polynomials of degrees
 
     ell(D) = sum_j d_j - M(M-1)/2 + 2 s1 s2      and      ell(D) + n.
 
-Everything in the second Wronskian but its last column is independent
-of n: the seed ladders, the Bareiss elimination of the seed block and
-the gauge are cached per (point, index set), and each P_{D,n} builds
-and replays P_n's column alone.
+The second Wronskian is linear in its last column, so times its gauge
+it is a cofactor functional of P_n,
+
+    P_{D,n} = sum_{k=0}^{M} R_k(eta) P_n^(k),
+
+with polynomial R_k that depend on the seeds alone.  They are built once
+per (point, index set), from the cofactors of the seed block's own
+Bareiss elimination (``gauged.bordered_wronskian``), and each P_{D,n}
+costs M derivatives of P_n and M + 1 polynomial products.  The
+differential operator Fhat of ``diffop`` realises the same map, but its
+coefficients come from ``wronskian_rows`` minors, so the ``verify``
+check Fhat P_n = P_{D,n} compares two independent constructions.
 
 Closed forms for the leading coefficients of Xi_D and P_{D,n}, for the
 eigenvalue factor pi_D(n) = prod_j (E_n - Etilde_{d_j}), and for the
@@ -175,9 +183,8 @@ def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
 def _seed_wronskian(pp: ParamPoint, D: IndexSet):
     """p |-> W[mu_1, ..., mu_M, p] times the P_{D,n} gauge.
 
-    Everything but the last column depends on the seeds alone, so the
-    seed ladders, their Bareiss elimination and the gauge are built once
-    per (point, index set).
+    The cofactor functional sum_k R_k p^(k) of the seeds, built once per
+    (point, index set).
     """
     return bordered_wronskian(seed_functions(pp, D),
                               _xi_exponents(pp, D, HALF))
@@ -188,8 +195,8 @@ def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
             check_leading: bool = True) -> Poly:
     """The multi-indexed polynomial P_{D,n}, of degree ell(D) + n.
 
-    Only P_n's own ladder column is built per n; it is replayed through
-    the cached elimination of the seed block, and the gauge folds once.
+    P_n goes through the cached cofactor functional of the seeds:
+    sum_k R_k P_n^(k), with no determinant and no gauge work per n.
     """
     _check(pp, D)
     if n < 0:

@@ -4,11 +4,14 @@ Every invocation goes through main(argv) so the tests see exactly what a
 shell user sees; stdout is parsed back as JSON and compared exactly.
 """
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from mipoly.checks import show
 from mipoly.cli import main
 from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
-from mipoly.mindexed import IndexSet, mi_poly
+from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
 from mipoly.recurrence import recurrence_direct, theta_op
 
 
@@ -283,6 +286,82 @@ def test_verify_names_diffop_witness(capsys, monkeypatch):
     p0 = mi_poly(ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I"), 0)
     assert row["detail"].endswith(
         f"first at H P_(D,0): expected {p0!r}, got Poly(0)")
+
+
+def _clear_member_caches():
+    mi_poly.cache_clear()
+    _seed_wronskian.cache_clear()
+
+
+def test_construct_does_not_read_fhat(capsys, monkeypatch):
+    # P_(D,n) comes from gauged's own cofactors, never from diffop's
+    # Fhat, so verify's Fhat P_n = P_(D,n) compares two constructions
+    argv = ["construct", "--family", "J", "--g", "7/3", "--h", "9/4",
+            "--indices", "1I,3I,2II", "--nmax", "20"]
+    _clear_member_caches()
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("construct must not build Fhat")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mipoly") \
+                and hasattr(module, "forward_op"):
+            monkeypatch.setattr(module, "forward_op", forbidden)
+    _clear_member_caches()
+    try:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    finally:
+        _clear_member_caches()
+
+
+def test_verify_diffop_catches_a_corrupted_cofactor(capsys):
+    pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
+    _clear_member_caches()
+    try:
+        p0 = mi_poly(pp, D, 0)
+        mi_poly.cache_clear()
+        cofactors = _seed_wronskian(pp, D).cofactors
+        cofactors[0] = [2 * c for c in cofactors[0]]   # P_(D,0) = R_0
+        # at n >= 1 the corrupted members leave the image of Fhat, and
+        # Bhat of them is no polynomial, which crashes the whole suite
+        code, doc = run_json(capsys, ["verify", "--suite", "diffop",
+                                      "--samples", "1", "--nmax", "0"])
+    finally:
+        _clear_member_caches()
+    assert code == 1
+    row = doc["checks"][0]
+    assert row["name"] == "diffop/intertwining[L,1I,g=7/3]"
+    assert f"first at Fhat P_0: expected {2 * p0!r}, got {p0!r}" \
+        in row["detail"]
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_digests_still_match(capsys):
+    # every 25th item either benchmark workload can draw, against the
+    # stdout sha256 recorded in perfbench/digests.json: a change of
+    # representation that alters output fails here first
+    workloads = _perfbench_workloads()
+    digests = json.loads((Path(workloads.__file__).parent
+                          / "digests.json").read_text())
+    checked = 0
+    for workload in ("recurrence-cli", "construct-cli"):
+        for argv in workloads.cli_universe(workload)[::25]:
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == \
+                digests[workload][" ".join(argv)], argv
+            checked += 1
+    assert checked >= 15
 
 
 def test_verify_rejects_unknown_suite(capsys):

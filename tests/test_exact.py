@@ -305,6 +305,31 @@ def test_antiderivative_of_linear_seed():
     assert differentiate(X) == p
 
 
+@given(polys(), st.integers(min_value=-30, max_value=30),
+       st.integers(min_value=1, max_value=40))
+def test_to_strings_matches_rat_str(p, n, d):
+    # contents of every sign, integral ones and the zero polynomial
+    for q in (p, p * Fraction(n, d), p * n, Poly.zero()):
+        assert q.to_strings() == [rat_str(c) for c in q.coeffs]
+
+
+def _pochhammer_by_fractions(x, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+@pytest.mark.parametrize("x", [Fraction(7, 3), Fraction(-5, 4), Fraction(0),
+                               Fraction(-3), Fraction(-17), Fraction(12),
+                               Fraction(-9, 2)], ids=str)
+def test_pochhammer_matches_fraction_product(x):
+    for n in range(46):
+        assert pochhammer(x, n) == _pochhammer_by_fractions(x, n), n
+    if x.denominator == 1 and x <= 0:   # (x)_n passes through 0
+        assert pochhammer(x, 1 - int(x)) == 0
+
+
 def test_pochhammer_values():
     assert pochhammer(3, 2) == 12
     assert pochhammer(5, 0) == 1

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipoly.exact import ETA, Poly, RatFunc
+from mipoly.exact import ETA, Poly, RatFunc, differentiate
 from mipoly.gauged import (
     GaugedFn,
     GaugeMismatch,
     NotPolynomial,
     _bordered_det,
     _eliminate,
+    _ladder,
     bordered_wronskian,
     det_poly,
     det_ratfunc,
@@ -102,6 +103,17 @@ def det_oracle(M):
 @settings(max_examples=60)
 def test_product_rule(f, g):
     assert (f * g).deriv() == f.deriv() * g + f * g.deriv()
+
+
+@given(small_polys(max_degree=6), small_polys(nonzero=True),
+       st.integers(min_value=0, max_value=5))
+def test_plain_column_ladder_is_scaled_derivatives(p, w, m):
+    # with E = 0 the ladder is q_k = w^k p^(k): what bordered_wronskian's
+    # cofactor expansion relies on
+    qs, dk = _ladder(p, Poly.zero(), w, m), p
+    for k in range(m + 1):
+        assert qs[k] == w ** k * dk, k
+        dk = differentiate(dk)
 
 
 @given(gauged_fns())

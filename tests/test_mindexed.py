@@ -253,10 +253,25 @@ def test_pi_factor_products():
 @pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
 @pytest.mark.parametrize("label", ["", "1I", "1I,2II", "1I,3I,2II"])
 def test_mi_poly_replay_matches_full_wronskian(pp, label):
-    # mi_poly replays P_n's column through the cached seed-block
-    # elimination; the oracle is the whole Wronskian times the gauge
-    D = IndexSet.parse(pp.family, label)
+    # mi_poly applies the cached cofactor functional of the seeds to P_n;
+    # the oracle is the whole Wronskian times the gauge
+    _check_against_full_wronskian(pp, IndexSet.parse(pp.family, label), True)
+
+
+@pytest.mark.parametrize("pp,label", [
+    (ParamPoint("L", g=F(-1, 2)), "1I,2II"),
+    (ParamPoint("J", g=F(7, 3), h=F(4, 3)), "1I,3I"),
+    (ParamPoint("J", g=F(7, 3), h=F(10, 3)), "2II"),
+], ids=["L-half", "J-g-h=1", "J-g-h=-1"])
+def test_mi_poly_matches_full_wronskian_at_degenerate_points(pp, label):
+    # points where leading coefficients vanish (L g = -1/2) or g - h is
+    # an integer (J); the cofactors still give the full Wronskian
+    _check_against_full_wronskian(pp, IndexSet.parse(pp.family, label), False)
+
+
+def _check_against_full_wronskian(pp, D, check_leading):
     seeds = seed_functions(pp, D)
-    for n in range(31):
+    for n in range(41):
         w = wronskian(seeds + [GaugedFn(r=classical_poly(pp, n))])
-        assert mi_poly(pp, D, n) == (w * _xi_gauge(pp, D, HALF)).as_poly(), n
+        assert mi_poly(pp, D, n, check_leading=check_leading) \
+            == (w * _xi_gauge(pp, D, HALF)).as_poly(), n
