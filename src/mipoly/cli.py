@@ -19,16 +19,22 @@ witness (``checks.agree``).  Exit status: 0 when every check passes, 1
 when a mathematical check fails, 2 when the configuration is unusable
 or the ``--latex FILE`` fragment (formatting only, written before
 stdout) cannot be written.  ``--format text`` prints a terse summary.
+
+The command line is one table of long flags per subcommand, parsed by
+``getopt.gnu_getopt``: ``--flag value`` or ``--flag=value``, a value
+may start with "-", and a unique prefix stands for its flag.  Any
+unusable command line is a ``ConfigError`` (``mipoly: ...`` on stderr,
+exit 2, empty stdout); ``-h``/``--help`` prints the usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import getopt
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -115,21 +121,9 @@ def _parse_point_and_set(args) -> Tuple[ParamPoint, IndexSet]:
     return pp, D
 
 
-def _check_counts(args) -> None:
-    """Reject counts that would make every check pass vacuously."""
-    if args.nmax < 0:
-        raise ConfigError(f"--nmax must be >= 0, got {args.nmax}")
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-
-
 def _document(args, results: dict, checks: Report) -> Tuple[dict, int]:
     """The output document and the exit status its checks imply."""
-    config = {"command": args.command, "format": args.format,
-              "nmax": args.nmax, "samples": args.samples, "seed": args.seed}
-    for key in ("family", "g", "h", "indices", "y", "raw_x", "suite"):
-        if hasattr(args, key):
-            config[key] = getattr(args, key)
+    config = {k: v for k, v in vars(args).items() if k != "latex"}
     rows = [{"name": c.name, "status": "pass" if c.ok else "fail",
              "detail": c.detail} for c in checks]
     doc = {"config": config, "results": results, "checks": rows,
@@ -138,6 +132,7 @@ def _document(args, results: dict, checks: Report) -> Tuple[dict, int]:
 
 
 def _load_golden(name: str) -> dict:
+    from importlib import resources   # only the golden cases read tables
     path = resources.files("mipoly").joinpath(f"golden/{name}.json")
     with path.open("r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -369,6 +364,14 @@ def _suite_mindexed(args) -> Report:
     return report
 
 
+def _applied(op, p: Poly):
+    """op p as a polynomial; a rational result yields its failure text."""
+    try:
+        return op.apply(p).as_poly()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def _suite_diffop(args) -> Report:
     report: Report = []
     nmax = min(args.nmax, 5)
@@ -379,10 +382,10 @@ def _suite_diffop(args) -> Report:
         for n in range(nmax + 1):
             Pn, PDn = classical_poly(pp, n), mi_poly(pp, D, n)
             cases += [
-                (f"Fhat P_{n}", PDn, fhat.apply(Pn).as_poly()),
+                (f"Fhat P_{n}", PDn, _applied(fhat, Pn)),
                 (f"Bhat P_(D,{n})", pi_factor(pp, D, n) * Pn,
-                 bhat.apply(PDn).as_poly()),
-                (f"H P_(D,{n})", energy(pp, n) * PDn, H.apply(PDn).as_poly())]
+                 _applied(bhat, PDn)),
+                (f"H P_(D,{n})", energy(pp, n) * PDn, _applied(H, PDn))]
         q = Poly([3, -2, 1])
         cases.append((f"Bhat {q!r} by Wronskian", bhat.apply(q),
                       backward_apply_via_wronskian(pp, D, q)))
@@ -530,92 +533,89 @@ def _emit(doc: dict, args) -> None:
 # -- entry points ------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmax", type=int, default=8,
-                   help="largest member index n (default 8)")
-    p.add_argument("--samples", type=int, default=5,
-                   help="parameter samples per suite (default 5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomized checks (default 0)")
-    p.add_argument("--format", choices=("json", "text", "latex"),
-                   default="json")
-    p.add_argument("--latex", metavar="FILE", default=None,
-                   help="also write a LaTeX fragment to FILE")
-
-
-def _add_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("L", "J"), required=True)
-    p.add_argument("--g", metavar="p/q", default=None)
-    p.add_argument("--h", metavar="p/q", default=None)
-    p.add_argument("--indices", default="",
-                   help='index list like "1I,2II"; empty for the classical family')
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mipoly",
-        description="multi-indexed orthogonal polynomials and their "
-                    "recurrence relations, in exact arithmetic")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct",
-                       help="denominator polynomial and first members")
-    _add_family(c)
-    _add_common(c)
-
-    r = sub.add_parser("recurrence",
-                       help="constant-coefficient relation by three routes")
-    _add_family(r)
-    r.add_argument("--y", default="1", metavar="c0,c1,...",
-                   help="ascending coefficients of the seed polynomial Y")
-    r.add_argument("--raw-X", dest="raw_x", default=None, metavar="c0,c1,...",
-                   help="bypass Y and test this X directly")
-    _add_common(r)
-
-    v = sub.add_parser("verify", help="run the seeded identity suites")
-    v.add_argument("--suite", choices=tuple(_SUITES) + ("all",),
-                   default="all")
-    _add_common(v)
-    return parser
-
-
+# (flag, default) per subcommand; the attribute is the flag in lower case
+# with "_" for "-", and an int default makes the flag a count
+_COMMON = (("nmax", 8), ("samples", 5), ("seed", 0), ("format", "json"),
+           ("latex", None))
+_FAMILY = (("family", None), ("g", None), ("h", None), ("indices", ""))
 _COMMANDS = {
-    "construct": cmd_construct,
-    "recurrence": cmd_recurrence,
-    "verify": cmd_verify,
+    "construct": (cmd_construct, _FAMILY + _COMMON),
+    "recurrence": (cmd_recurrence,
+                   _FAMILY + (("y", "1"), ("raw-X", None)) + _COMMON),
+    "verify": (cmd_verify, (("suite", "all"),) + _COMMON),
 }
+_CHOICES = {"family": ("L", "J"), "format": ("json", "text", "latex"),
+            "suite": (*_SUITES, "all")}
+# smaller counts would make every check pass vacuously
+_LEAST = {"nmax": 0, "samples": 1}
+
+_USAGE = """\
+usage: mipoly {construct,recurrence,verify} [options]   (exact arithmetic)
+  construct   --family L|J --g p/q [--h p/q] [--indices 1I,2II]
+              denominator polynomial and first members
+  recurrence  --family L|J --g p/q [--h p/q] [--indices 1I,2II]
+              [--y c0,c1,... (seed polynomial Y, default 1)]
+              [--raw-X c0,c1,... (bypass Y and test this X)]
+              constant-coefficient relation by three routes
+  verify      [--suite wronskian|families|mindexed|diffop|recurrence|
+              shiftalg|bnk|all (default)]  the seeded identity suites
+every subcommand also takes [--nmax N (largest member index, default 8)]
+  [--samples N (parameter samples per suite, default 5)]
+  [--seed N (seed of the randomized checks, default 0)]
+  [--format json|text|latex] [--latex FILE (also write a LaTeX fragment)]
+Write --flag value or --flag=value, negative values too; a unique prefix
+stands for its flag (--nm 4 is --nmax 4).  Lists are comma-separated;
+an empty --indices is the classical family."""
 
 
-_VALUE_FLAGS = {"--g", "--h", "--y", "--raw-X"}
-
-
-def _glue_negative_values(argv: List[str]) -> List[str]:
-    """Turn ["--g", "-1/2"] into ["--g=-1/2"] so argparse keeps the value."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The subcommand and its flags as attributes; None asks for help."""
+    try:
+        opts, rest = getopt.getopt(argv, "h", ["help"])
+        if opts:
+            return None
+        if not rest or rest[0] not in _COMMANDS:
+            raise ConfigError("expected a subcommand: construct, recurrence "
+                              "or verify (see mipoly --help)")
+        command, table = rest[0], dict(_COMMANDS[rest[0]][1])
+        # gnu_getopt keeps "--g -1/2" as a value and resolves prefixes
+        opts, rest = getopt.gnu_getopt(
+            rest[1:], "h", ["help"] + [f"{flag}=" for flag in table])
+    except getopt.GetoptError as exc:
+        raise ConfigError(str(exc)) from None
+    if rest:
+        raise ConfigError(f"unexpected argument {rest[0]!r}")
+    values = dict(table)
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            return None
+        flag = opt[2:]
+        if isinstance(table[flag], int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"--{flag}: not an integer: {value!r}") \
+                    from None
+            if value < _LEAST.get(flag, value):
+                raise ConfigError(
+                    f"--{flag} must be >= {_LEAST[flag]}, got {value}")
+        elif value not in _CHOICES.get(flag, (value,)):
+            raise ConfigError(f"--{flag}: {value!r} is not one of "
+                              f"{', '.join(_CHOICES[flag])}")
+        values[flag] = value
+    if values.get("family", "") is None:
+        raise ConfigError("--family is required (L or J)")
+    return SimpleNamespace(command=command, **{
+        flag.replace("-", "_").lower(): v for flag, v in values.items()})
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_negative_values(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _check_counts(args)
-        doc, code = _COMMANDS[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            print(_USAGE)
+            return 0
+        doc, code = _COMMANDS[args.command][0](args)
         _emit(doc, args)
     except ConfigError as exc:
         print(f"mipoly: {exc}", file=sys.stderr)

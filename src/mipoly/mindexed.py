@@ -55,6 +55,7 @@ from .families import (
     energy,
     leading_coeff,
     seed,
+    twisted,
     virtual_energy,
     virtual_leading,
 )
@@ -141,8 +142,17 @@ def _check(pp: ParamPoint, D: IndexSet) -> None:
 
 
 def seed_functions(pp: ParamPoint, D: IndexSet) -> List[GaugedFn]:
+    """The seeds mu_j; a seed whose polynomial fails names itself."""
     _check(pp, D)
-    return [seed(pp, t, v) for t, v in D.entries()]
+    out = []
+    for t, v in D.entries():
+        try:
+            out.append(seed(pp, t, v))
+        except GenericityViolation as exc:
+            raise GenericityViolation(
+                f"seed {v}{t} at its twisted point {twisted(pp, t)}: {exc}"
+            ) from None
+    return out
 
 
 def _xi_gauge(pp: ParamPoint, D: IndexSet, shift: Fraction) -> GaugedFn:

@@ -99,6 +99,62 @@ def test_construct_config_errors(capsys):
     capsys.readouterr()
 
 
+def test_construct_names_the_failing_seed(capsys):
+    # alpha + beta = -1 at 2II's twisted point, where the three-term
+    # recurrence of the seed's own polynomial is 0/0
+    code, doc = run_json(capsys, ["construct", "--family", "J", "--g", "7/3",
+                                  "--h", "4/3", "--indices", "1I,2II",
+                                  "--nmax", "2"])
+    assert code == 1
+    row = [c for c in doc["checks"] if c["name"] == "genericity"][0]
+    assert row["detail"] == ("seed 2II at its twisted point J g=-4/3 h=4/3: "
+                             "A_0 denominator vanishes")
+
+
+# -- the command line --------------------------------------------------------
+
+_L_PAIR = ["construct", "--family", "L", "--indices", "1I,2II"]
+
+
+@pytest.mark.parametrize("same, other", [
+    (_L_PAIR + ["--g", "-1/2"], _L_PAIR + ["--g=-1/2"]),
+    (_L_PAIR + ["--g", "7/3", "--nmax", "2"],
+     _L_PAIR + ["--g", "7/3", "--nm", "2"]),
+])
+def test_flag_spellings_give_the_same_stdout(capsys, same, other):
+    runs = []
+    for argv in (same, other):
+        runs.append((main(argv), capsys.readouterr().out))
+    assert runs[0][1] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    _L_PAIR + ["--g", "7/3", "--s", "1"],           # ambiguous prefix
+    _L_PAIR + ["--g", "7/3", "--bogus", "1"],
+    _L_PAIR + ["--g", "7/3", "--nmax"],             # missing value
+    _L_PAIR + ["--g", "7/3", "--format", "yaml"],
+    _L_PAIR + ["--g", "7/3", "--nmax", "two"],
+    ["construct", "--family", "H", "--g", "7/3"],
+    ["construct", "--g", "7/3"],                  # no --family
+    _L_PAIR + ["--g", "7/3", "stray"],
+    ["--nmax", "2"],
+    [],
+])
+def test_unusable_command_lines_exit_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mipoly: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["construct", "-h"],
+                                  ["recurrence", "--family", "L", "--he"]])
+def test_help_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: mipoly") and err == ""
+
+
 # -- recurrence --------------------------------------------------------------
 
 
@@ -319,23 +375,24 @@ def test_construct_does_not_read_fhat(capsys, monkeypatch):
 
 def test_verify_diffop_catches_a_corrupted_cofactor(capsys):
     pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
-    _clear_member_caches()
-    try:
-        p0 = mi_poly(pp, D, 0)
-        mi_poly.cache_clear()
-        cofactors = _seed_wronskian(pp, D).cofactors
-        cofactors[0] = [2 * c for c in cofactors[0]]   # P_(D,0) = R_0
-        # at n >= 1 the corrupted members leave the image of Fhat, and
-        # Bhat of them is no polynomial, which crashes the whole suite
-        code, doc = run_json(capsys, ["verify", "--suite", "diffop",
-                                      "--samples", "1", "--nmax", "0"])
-    finally:
+    for nmax in ("0", "2"):
         _clear_member_caches()
-    assert code == 1
-    row = doc["checks"][0]
-    assert row["name"] == "diffop/intertwining[L,1I,g=7/3]"
-    assert f"first at Fhat P_0: expected {2 * p0!r}, got {p0!r}" \
-        in row["detail"]
+        try:
+            p0 = mi_poly(pp, D, 0)
+            mi_poly.cache_clear()
+            cofactors = _seed_wronskian(pp, D).cofactors
+            cofactors[0] = [2 * c for c in cofactors[0]]   # P_(D,0) = R_0
+            # at n >= 1 the corrupted members leave the image of Fhat;
+            # Bhat of them is no polynomial, a failing case of its own
+            code, doc = run_json(capsys, ["verify", "--suite", "diffop",
+                                          "--samples", "1", "--nmax", nmax])
+        finally:
+            _clear_member_caches()
+        assert code == 1
+        row = doc["checks"][0]
+        assert row["name"] == "diffop/intertwining[L,1I,g=7/3]"
+        assert f"first at Fhat P_0: expected {2 * p0!r}, got {p0!r}" \
+            in row["detail"]
 
 
 def _perfbench_workloads():
@@ -417,12 +474,14 @@ def test_text_format(capsys):
 
 def test_cold_import_skips_dataclasses():
     # every CLI call pays its imports; the records are plain slotted
-    # classes, so dataclasses (and inspect behind it) stay unloaded
+    # classes, so dataclasses (and inspect behind it) stay unloaded, and
+    # getopt parses the command line, so argparse and locale do too
     src = os.path.dirname(os.path.dirname(os.path.abspath(mipoly.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import mipoly.cli, sys; print('dataclasses' in sys.modules)"],
+         "import mipoly.cli, sys; print(sorted({'dataclasses', 'argparse', "
+         "'locale'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
