@@ -1,7 +1,7 @@
 """Named checks: one row type, and ``agree``, which runs every (where,
 expected, actual) case and names the failure count and first witness:
 rationals as "p/q", polynomials by ``repr``, the zero polynomial's
-degree as "none"."""
+degree as "none".  A row with no cases fails: it would check nothing."""
 
 from fractions import Fraction
 from typing import Any, Iterable, List, NamedTuple
@@ -31,6 +31,8 @@ def show(x: Any) -> str:
 
 def agree(name: str, detail: str, cases: Iterable[tuple]) -> Check:
     cases = list(cases)
+    if not cases:
+        return Check(name, False, f"{detail}; no cases checked")
     failed = [case for case in cases if case[1] != case[2]]
     if not failed:
         return Check(name, True, detail)

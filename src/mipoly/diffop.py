@@ -23,13 +23,15 @@ with the multi-indexed family P_{D,n}:
   polynomial.  The coefficients are guaranteed polynomials (den = 1); a
   leftover denominator raises :class:`~mipoly.gauged.NotPolynomial`.
 
-* ``backward_op`` Bhat:  Bhat P_{D,n} = pi_D(n) P_n, built the same way
-  from the dual seeds m_j with the prefactor rho_B carrying 1/Xi^M.  Its
-  numerators are built over Xi_D^M directly, by exact division of Xi^M
-  by each cofactor's denominator, so its one denominator divides Xi^M by
-  construction; a cofactor denominator that does not divide Xi^M raises
-  :class:`DenominatorEscape`.  Theta = Bhat o X o Fhat is then composed
-  over Xi^M with no gcd before the final lowest-terms step.
+* ``backward_op`` Bhat:  Bhat P_{D,n} = pi_D(n) P_n.  Bhat q =
+  rho_B W[m_1, ..., m_M, q] is linear in q, so it is the cofactor
+  functional of the dual seeds m_j (``gauged.bordered_wronskian``, which
+  builds each P_{D,n} too) with rho_B's gauge folded in: its R_k times
+  rho_B's constant are the numerators over Xi_D^M.  A fractional gauge
+  left over raises :class:`~mipoly.gauged.NotPolynomial`, a power of a
+  gauge base left below Xi^M :class:`DenominatorEscape`.  Theta =
+  Bhat o X o Fhat is composed over Xi^M with no gcd before the final
+  lowest-terms step.
 
 ``htilde_op`` is the gauged Hamiltonian with H P_{D,n} = E_n P_{D,n},
 with numerators over Xi:
@@ -68,7 +70,7 @@ from .families import (
     schrodinger_c2,
     shifted_params,
 )
-from .gauged import GaugedFn, wronskian_rows
+from .gauged import GaugedFn, NotPolynomial, bordered_wronskian, wronskian_rows
 from .mindexed import (
     HALF,
     IndexSet,
@@ -80,7 +82,7 @@ from .mindexed import (
 
 
 class DenominatorEscape(ValueError):
-    """A backward-operator denominator is not a divisor of Xi^M."""
+    """Bhat's cofactors leave a power of a gauge base over Xi^M."""
 
 
 CoeffLike = Union[RatFunc, Poly, int, str, Fraction]
@@ -246,56 +248,48 @@ class DiffOp:
         return "DiffOp[" + " + ".join(bits) + "]"
 
 
-def _expansion_coeffs(columns, rho: GaugedFn, M: int) -> List[GaugedFn]:
-    """Signed last-column cofactors of an (M+1)-row Wronskian, times rho."""
-    out = []
-    for i in range(M + 1):
-        orders = [k for k in range(M + 1) if k != i]
-        minor = wronskian_rows(columns, orders)
-        out.append(minor * (rho if (M + i) % 2 == 0 else -rho))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def forward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     """Fhat with Fhat P_n = P_{D,n}; polynomial coefficients."""
     M = D.size
     if M == 0:
         return DiffOp.identity()
-    terms = _expansion_coeffs(seed_functions(pp, D), _xi_gauge(pp, D, HALF), M)
-    # NotPolynomial if a gauge fails to cancel
-    return DiffOp([term.as_poly() for term in terms])
+    columns, rho = seed_functions(pp, D), _xi_gauge(pp, D, HALF)
+    coeffs = []
+    for i in range(M + 1):
+        # the signed last-column cofactor of row i, times the gauge
+        minor = wronskian_rows(columns, [k for k in range(M + 1) if k != i])
+        # NotPolynomial if a gauge fails to cancel
+        coeffs.append((minor * (rho if (M + i) % 2 == 0 else -rho)).as_poly())
+    return DiffOp(coeffs)
 
 
-def _rho_backward(pp: ParamPoint, D: IndexSet) -> GaugedFn:
+def _rho_backward(pp: ParamPoint, D: IndexSet) -> Tuple[Fraction, tuple]:
+    """rho_B = const * e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d / Xi^M,
+    as (const, (a, b, c, d))."""
     s, s1, s2 = D.size, D.s1, D.s2
-    xi = xi_poly(pp, D)
     const = c_factor(pp) ** (2 * s) * (-1) ** (s * (s + 1) // 2)
-    r = RatFunc(Poly.const(const), xi ** s)
     if pp.family == "L":
-        return GaugedFn(a=-s2, b=s1 * (s1 + pp.g + HALF), r=r)
-    return GaugedFn(c=s1 * (s1 + pp.g + HALF),
-                    d=s2 * (s2 + pp.h + HALF), r=r)
+        return const, (-s2, s1 * (s1 + pp.g + HALF), 0, 0)
+    return const, (0, 0, s1 * (s1 + pp.g + HALF), s2 * (s2 + pp.h + HALF))
 
 
 @functools.lru_cache(maxsize=None)
 def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
-    """Bhat with Bhat P_{D,n} = pi_D(n) P_n; numerators over Xi^M."""
+    """Bhat with Bhat P_{D,n} = pi_D(n) P_n: rho_B's constant times the
+    dual seeds' cofactors R_k, over Xi^M."""
     M = D.size
     if M == 0:
         return DiffOp.identity()
-    mjs = [mj_function(pp, D, j) for j in range(M)]
-    xi_m = xi_poly(pp, D) ** M
-    nums = []
-    for term in _expansion_coeffs(mjs, _rho_backward(pp, D), M):
-        r = term.as_ratfunc()
-        q, rem = poly_divmod(xi_m, r.den)
-        if not rem.is_zero():
-            raise DenominatorEscape(
-                f"denominator {r.den!r} does not divide Xi^{M} "
-                f"for {D.label()}")
-        nums.append(r.num * q)
-    return DiffOp(nums, xi_m)
+    const, exps = _rho_backward(pp, D)
+    cof = bordered_wronskian([mj_function(pp, D, j) for j in range(M)], exps)
+    if any(cof.gauge):
+        raise NotPolynomial(f"gauge {tuple(cof.gauge)} does not reduce away")
+    if cof.den.degree > 0:
+        raise DenominatorEscape(f"denominator {cof.den!r} is left over "
+                                f"Xi^{M} for {D.label()}")
+    return DiffOp([Poly._make(c, const * cof.unit) for c in cof.cofactors],
+                  xi_poly(pp, D) ** M)
 
 
 def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
@@ -306,7 +300,9 @@ def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
         return RatFunc(q)
     cols = [mj_function(pp, D, j) for j in range(M)] + [GaugedFn(r=q)]
     w = wronskian_rows(cols, list(range(M + 1)))
-    return (w * _rho_backward(pp, D)).as_ratfunc()
+    const, exps = _rho_backward(pp, D)
+    rho = GaugedFn(*exps, r=RatFunc(Poly.const(const), xi_poly(pp, D) ** M))
+    return (w * rho).as_ratfunc()
 
 
 @functools.lru_cache(maxsize=None)

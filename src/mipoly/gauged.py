@@ -39,7 +39,7 @@ Bareiss pivots and row swaps depend on all columns but the last, so the
 elimination of those is recorded once (``_eliminate``) and a last column
 is replayed through the record alone (``_bordered_det``).
 ``wronskian_rows`` takes an arbitrary list of derivative orders for the
-rows, which is what the operator minors downstream need.
+rows, which is what the minors of ``diffop``'s Fhat need.
 
 Bordered Wronskians.  A plain polynomial p as the last column has the
 ladder q_k = w^k p^(k), and the determinant is linear in that column, so
@@ -51,7 +51,8 @@ with C_k = det [block | e_k] the cofactor of row k.
 gauge G into the R_k once and keeps the result as a
 :class:`CofactorFunctional`; applying it to p takes m integer
 derivatives and one product per nonzero R_k.  That is how each P_{D,n}
-is built in ``mindexed``.
+is built in ``mindexed``, and, from the dual seeds, the backward
+operator Bhat in ``diffop``.
 
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change

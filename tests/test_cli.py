@@ -320,6 +320,21 @@ def test_verify_bnk(capsys):
     assert doc["results"]["suites"]["bnk"]["fail"] == 0
 
 
+@pytest.mark.parametrize("suite, name", [
+    ("bnk", "bnk/cross_terms[L g=7/3]"),
+    ("shiftalg", "shiftalg/cross_terms_vanish"),
+])
+def test_verify_row_with_no_cases_fails(capsys, suite, name):
+    # at nmax 0 there is no 1 <= k <= n <= 0: such a row checks nothing,
+    # so it must not pass
+    code, doc = run_json(capsys, ["verify", "--suite", suite,
+                                  "--nmax", "0", "--samples", "1"])
+    assert code == 1
+    rows = [c for c in doc["checks"] if c["name"] == name]
+    assert rows and all(r["status"] == "fail" for r in rows)
+    assert all(r["detail"].endswith("; no cases checked") for r in rows)
+
+
 def test_verify_families_and_mindexed(capsys):
     code, doc = run_json(capsys, ["verify", "--suite", "families",
                                   "--samples", "2", "--nmax", "6"])
@@ -395,9 +410,19 @@ def test_verify_diffop_catches_a_corrupted_cofactor(capsys):
             in row["detail"]
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _env_with_src():
+    """The environment, with this checkout's library first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mipoly.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _perfbench_module(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -407,7 +432,7 @@ def test_benchmark_digests_still_match(capsys):
     # every 25th item either benchmark workload can draw, against the
     # stdout sha256 recorded in perfbench/digests.json: a change of
     # representation that alters output fails here first
-    workloads = _perfbench_workloads()
+    workloads = _perfbench_module("workloads")
     digests = json.loads((Path(workloads.__file__).parent
                           / "digests.json").read_text())
     checked = 0
@@ -419,6 +444,33 @@ def test_benchmark_digests_still_match(capsys):
                 digests[workload][" ".join(argv)], argv
             checked += 1
     assert checked >= 15
+
+
+def test_benchmark_trace_finds_every_declared_figure(monkeypatch):
+    # the per-layer metrics of BENCHMARK.json are read from the tracer's
+    # figures by name: deleting or un-caching a function they pin must
+    # fail here, not as a KeyError in a traced benchmark run
+    monkeypatch.setattr(sys, "path", list(sys.path))   # run.py prepends
+    before = set(sys.modules)
+    try:
+        run = _perfbench_module("run")
+    finally:
+        for name in set(sys.modules) - before:
+            if name in ("workloads", "cli_item", "tracer"):
+                del sys.modules[name]
+    env = _env_with_src()
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), "recurrence",
+         "--family", "J", "--g", "7/3", "--h", "9/4", "--indices", "1I",
+         "--nmax", "2"], env=env, capture_output=True, text=True, check=True)
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(run.TRACE_PREFIX)
+    traced, plain = run.Pass(True), run.Pass(False)
+    traced.add_trace(json.loads(last[len(run.TRACE_PREFIX):])["figures"])
+    traced.wall_s = plain.wall_s = 1.0
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    metrics = run._layer_metrics([traced], [plain])
+    assert sorted(metrics) == sorted(m["name"] for m in declared["per_layer"])
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -476,9 +528,7 @@ def test_cold_import_skips_dataclasses():
     # every CLI call pays its imports; the records are plain slotted
     # classes, so dataclasses (and inspect behind it) stay unloaded, and
     # getopt parses the command line, so argparse and locale do too
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mipoly.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _env_with_src()
     out = subprocess.run(
         [sys.executable, "-c",
          "import mipoly.cli, sys; print(sorted({'dataclasses', 'argparse', "

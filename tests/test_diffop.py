@@ -1,5 +1,6 @@
 """Forward/backward intertwining operators and the deformed Hamiltonian."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from mipoly.exact import ETA, ParamPoint, Poly, RatFunc, poly_divmod
 from mipoly.families import classical_poly, energy
+from mipoly import diffop
 from mipoly.diffop import (
+    DenominatorEscape,
     DiffOp,
     backward_apply_via_wronskian,
     backward_op,
@@ -20,7 +23,8 @@ from mipoly.diffop import (
     single_step_forward,
 )
 from mipoly.families import delta_shift
-from mipoly.mindexed import IndexSet, mi_poly, pi_factor, xi_poly
+from mipoly.gauged import NotPolynomial
+from mipoly.mindexed import IndexSet, mi_poly, mj_function, pi_factor, xi_poly
 from mipoly.recurrence import theta_op
 
 F = Fraction
@@ -209,6 +213,52 @@ def test_backward_matches_wronskian_form(pp, D):
     for q in (Poly.one(), ETA, Poly([3, -2, 1]), Poly([0, 0, 0, 0, 1]),
               Poly([F(1, 3), F(7, 2)])):
         assert backward_apply_via_wronskian(pp, D, q) == bhat.apply(q)
+
+
+@pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
+def test_backward_op_builds_no_wronskian_minor(pp, monkeypatch):
+    # Bhat is the dual seeds' cofactor functional; only the Xi's it is
+    # built from (cached first) and verify's Wronskian form take a minor
+    D = IndexSet.parse(pp.family, "1I,3I,2II")
+    xi_poly(pp, D)
+    for j in range(D.size):
+        mj_function(pp, D, j)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("backward_op must not take a Wronskian minor")
+
+    with monkeypatch.context() as m:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("mipoly") \
+                    and hasattr(module, "wronskian_rows"):
+                m.setattr(module, "wronskian_rows", forbidden)
+        backward_op.cache_clear()
+        bhat = backward_op(pp, D)
+    probe = Poly([3, -2, 1])
+    assert backward_apply_via_wronskian(pp, D, probe) == bhat.apply(probe)
+    for n in range(4):
+        PDn = mi_poly(pp, D, n)
+        assert backward_apply_via_wronskian(pp, D, PDn) == bhat.apply(PDn), n
+
+
+@pytest.mark.parametrize("pp, label", [(LG, "1I"), (LG, "1I,2II"),
+                                       (JG, "1I,2II")])
+@pytest.mark.parametrize("shift, error", [(-1, DenominatorEscape),
+                                          (F(1, 2), NotPolynomial)])
+def test_backward_op_refuses_a_gauge_left_over(pp, label, shift, error,
+                                               monkeypatch):
+    # a rho_B exponent off by -1 leaves a power of the gauge base below
+    # Xi^M; off by 1/2 it leaves a fractional gauge
+    D = IndexSet.parse(pp.family, label)
+    const, exps = diffop._rho_backward(pp, D)
+    slot = 1 if pp.family == "L" else 2
+    exps = exps[:slot] + (exps[slot] + shift,) + exps[slot + 1:]
+    monkeypatch.setattr(diffop, "_rho_backward", lambda *_: (const, exps))
+    backward_op.cache_clear()
+    with pytest.raises(error) as info:
+        backward_op(pp, D)
+    if error is DenominatorEscape:
+        assert f"Xi^{D.size} for {label}" in str(info.value)
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)

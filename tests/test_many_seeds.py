@@ -6,8 +6,8 @@ scratch: every seed's Taylor series at eta0 in Fractions (its shifted
 polynomial times the binomial series of its gauge), the
 (M+1) x (M+1) matrix of derivatives, and a plain Gaussian determinant.
 None of it shares Bareiss or the numerator ladder with ``gauged``.  At
-the same point the operators are checked too: Fhat P_n = P_(D,n) and
-Htilde P_(D,n) = E_n P_(D,n).
+the same point the operators are checked too: Fhat P_n = P_(D,n),
+Bhat P_(D,n) = pi_D(n) P_n and Htilde P_(D,n) = E_n P_(D,n).
 """
 
 import math
@@ -16,10 +16,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from mipoly.diffop import forward_op, htilde_op
+from mipoly.diffop import backward_op, forward_op, htilde_op
 from mipoly.exact import ParamPoint
 from mipoly.families import classical_poly, energy, twisted
-from mipoly.mindexed import IndexSet, check_genericity, mi_poly
+from mipoly.mindexed import IndexSet, check_genericity, mi_poly, pi_factor
 
 SETS = ["1I,2I,3I,4I", "1I,2I,4I,2II,3II", "2I,3I,5I,2II", "1I,3I,2II,4II",
         "2II,3II,4II,5II", "1I,2I,3I,2II,5II", "1I,4I,6I,3II"]
@@ -124,7 +124,7 @@ def test_many_seed_members_match_a_fraction_wronskian(pp, D, x0):
     M = D.size
     assert M in (4, 5)
     columns = [seed_series(pp, t, v, x0, M) for t, v in D.entries()]
-    fhat, H = forward_op(pp, D), htilde_op(pp, D)
+    fhat, bhat, H = forward_op(pp, D), backward_op(pp, D), htilde_op(pp, D)
     for n in MEMBERS:
         Pn = shifted(classical_poly(pp, n).coeffs, x0, M)
         matrix = [[math.factorial(i) * col[i] for col in columns + [Pn]]
@@ -135,5 +135,7 @@ def test_many_seed_members_match_a_fraction_wronskian(pp, D, x0):
         assert determinant(matrix) * leftover_gauge(pp, D, x0) == want, n
         assert at(fhat, x0, shifted(classical_poly(pp, n).coeffs, x0,
                                     len(fhat.nums))) == want, n
+        assert at(bhat, x0, shifted(PDn.coeffs, x0, len(bhat.nums))) \
+            == pi_factor(pp, D, n) * Pn[0], n
         assert at(H, x0, shifted(PDn.coeffs, x0, len(H.nums))) \
             == energy(pp, n) * want, n
