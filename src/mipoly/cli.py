@@ -20,17 +20,21 @@ when a mathematical check fails, 2 when the configuration is unusable
 or the ``--latex FILE`` fragment (formatting only, written before
 stdout) cannot be written.  ``--format text`` prints a terse summary.
 
-The command line is one table of long flags per subcommand, parsed by
-``getopt.gnu_getopt``: ``--flag value`` or ``--flag=value``, a value
-may start with "-", and a unique prefix stands for its flag.  Any
-unusable command line is a ``ConfigError`` (``mipoly: ...`` on stderr,
-exit 2, empty stdout); ``-h``/``--help`` prints the usage text.
+The command line is one table of long flags per subcommand, matched
+by ``_flag``: ``--flag value`` or ``--flag=value``, a value may start
+with "-", a flag named in full beats any flag it is a prefix of, and
+otherwise a unique prefix stands for its flag.  Any unusable command
+line is a ``ConfigError`` (``mipoly: ...`` on stderr, exit 2, empty
+stdout); ``-h``/``--help`` prints the usage text.  Each subcommand
+imports the layers it runs: ``construct`` loads none of ``diffop``,
+``recurrence`` or ``shiftalg``.  A JSON document is written in batches
+of encoder chunks, never held whole as one string.
 """
 
 from __future__ import annotations
 
 import functools
-import getopt
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -60,24 +64,6 @@ from .mindexed import (
     plusdelta_constant,
     xi_leading,
     xi_poly,
-)
-from .diffop import backward_apply_via_wronskian, backward_op, forward_op, htilde_op
-from .recurrence import (
-    expand_in_deformed,
-    recurrence_direct,
-    recurrence_from_theta,
-    recurrence_order,
-    recurrence_via_theta,
-    theta_from_x,
-    x_from_y,
-)
-from .shiftalg import (
-    DecompositionFailure,
-    commutator_check,
-    cross_term_cases,
-    power_formulas_check,
-    recurrence_bispectral,
-    star_identities_check,
 )
 
 class ConfigError(ValueError):
@@ -204,6 +190,8 @@ def _matching_golden(pp: ParamPoint, D: IndexSet, Y: Poly) -> Optional[dict]:
 
 
 def _y_routes(pp: ParamPoint, D: IndexSet, Y: Poly) -> List[tuple]:
+    from .recurrence import recurrence_direct, recurrence_via_theta
+    from .shiftalg import recurrence_bispectral
     return [("direct", functools.partial(recurrence_direct, pp, D, Y)),
             ("operator", functools.partial(recurrence_via_theta, pp, D, Y)),
             ("matrix", functools.partial(recurrence_bispectral, pp, D, Y))]
@@ -216,6 +204,7 @@ def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
     its failure message as its row, so the check fails with it as the
     witness.
     """
+    from .shiftalg import DecompositionFailure
     (_, first), *others = routes
     rows, cases = [], []
     for n in range(nmax + 1):
@@ -231,6 +220,9 @@ def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
 
 
 def cmd_recurrence(args) -> Tuple[dict, int]:
+    # the operator layers load here, so that construct never pays for them
+    from .recurrence import (expand_in_deformed, recurrence_from_theta,
+                             recurrence_order, theta_from_x, x_from_y)
     pp, D = _parse_point_and_set(args)
     checks: Report = []
     results: dict = {"indices": D.label()}
@@ -373,6 +365,8 @@ def _applied(op, p: Poly):
 
 
 def _suite_diffop(args) -> Report:
+    from .diffop import (backward_apply_via_wronskian, backward_op,
+                         forward_op, htilde_op)
     report: Report = []
     nmax = min(args.nmax, 5)
     for pp, D in _deformed_cases(args.samples):
@@ -405,6 +399,8 @@ def _suite_recurrence(args) -> Report:
 
 
 def _suite_shiftalg(args) -> Report:
+    from .shiftalg import (commutator_check, power_formulas_check,
+                           star_identities_check)
     report = star_identities_check(seed=args.seed, trials=2 * args.samples)
     for pp in _sample_points(min(args.samples, 2)):
         size = args.nmax + 6
@@ -414,6 +410,7 @@ def _suite_shiftalg(args) -> Report:
 
 
 def _suite_bnk(args) -> Report:
+    from .shiftalg import cross_term_cases
     return [agree(f"cross_terms[{pp}]",
                   f"b(n,k) = 0 for 1 <= k <= n <= {args.nmax}",
                   cross_term_cases(pp, args.nmax))
@@ -515,6 +512,20 @@ def _text_render(doc: dict) -> str:
     return "\n".join(lines)
 
 
+# encoder chunks joined per stdout write: the document is never held
+# whole, and one write per chunk would be one system call per chunk on
+# an unbuffered stdout (PYTHONUNBUFFERED)
+_BATCH = 256
+
+
+def _write_json(doc: dict) -> None:
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + "\n"."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, _BATCH)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _emit(doc: dict, args) -> None:
     if args.latex:
         try:
@@ -523,7 +534,7 @@ def _emit(doc: dict, args) -> None:
         except OSError as exc:
             raise ConfigError(f"--latex: {exc}") from None
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _write_json(doc)
     elif args.format == "text":
         print(_text_render(doc))
     else:
@@ -568,28 +579,39 @@ stands for its flag (--nm 4 is --nmax 4).  Lists are comma-separated;
 an empty --indices is the classical family."""
 
 
+def _flag(name: str, table) -> str:
+    """The flag that --name stands for: itself, else its unique extension."""
+    if name in table:
+        return name
+    hits = [flag for flag in table if flag.startswith(name)]
+    if len(hits) != 1:
+        raise ConfigError(f"option --{name} " + (
+            "not a unique prefix" if hits else "not recognized"))
+    return hits[0]
+
+
 def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """The subcommand and its flags as attributes; None asks for help."""
-    try:
-        opts, rest = getopt.getopt(argv, "h", ["help"])
-        if opts:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    table = dict(_COMMANDS[command][1]) if command else {}
+    values, words = dict(table), iter(argv[1:] if command else argv)
+    for word in words:
+        if word == "-h":
             return None
-        if not rest or rest[0] not in _COMMANDS:
-            raise ConfigError("expected a subcommand: construct, recurrence "
-                              "or verify (see mipoly --help)")
-        command, table = rest[0], dict(_COMMANDS[rest[0]][1])
-        # gnu_getopt keeps "--g -1/2" as a value and resolves prefixes
-        opts, rest = getopt.gnu_getopt(
-            rest[1:], "h", ["help"] + [f"{flag}=" for flag in table])
-    except getopt.GetoptError as exc:
-        raise ConfigError(str(exc)) from None
-    if rest:
-        raise ConfigError(f"unexpected argument {rest[0]!r}")
-    values = dict(table)
-    for opt, value in opts:
-        if opt in ("-h", "--help"):
+        if not word.startswith("--"):
+            if command is None:
+                break
+            raise ConfigError(f"unexpected argument {word!r}")
+        name, eq, value = word[2:].partition("=")
+        flag = _flag(name, [*table, "help"])
+        if flag == "help":
+            if eq:
+                raise ConfigError("option --help must not have an argument")
             return None
-        flag = opt[2:]
+        # "--g -1/2": the word after a flag is its value, whatever it is
+        value = value if eq else next(words, None)
+        if value is None:
+            raise ConfigError(f"option --{flag} requires argument")
         if isinstance(table[flag], int):
             try:
                 value = int(value)
@@ -603,6 +625,9 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
             raise ConfigError(f"--{flag}: {value!r} is not one of "
                               f"{', '.join(_CHOICES[flag])}")
         values[flag] = value
+    if command is None:
+        raise ConfigError("expected a subcommand: construct, recurrence "
+                          "or verify (see mipoly --help)")
     if values.get("family", "") is None:
         raise ConfigError("--family is required (L or J)")
     return SimpleNamespace(command=command, **{

@@ -70,7 +70,13 @@ from .families import (
     schrodinger_c2,
     shifted_params,
 )
-from .gauged import GaugedFn, NotPolynomial, bordered_wronskian, wronskian_rows
+from .gauged import (
+    GaugedFn,
+    NotPolynomial,
+    bordered_wronskian,
+    gauge_str,
+    wronskian_rows,
+)
 from .mindexed import (
     HALF,
     IndexSet,
@@ -284,7 +290,8 @@ def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     const, exps = _rho_backward(pp, D)
     cof = bordered_wronskian([mj_function(pp, D, j) for j in range(M)], exps)
     if any(cof.gauge):
-        raise NotPolynomial(f"gauge {tuple(cof.gauge)} does not reduce away")
+        raise NotPolynomial(
+            f"gauge {gauge_str(cof.gauge)} does not reduce away")
     if cof.den.degree > 0:
         raise DenominatorEscape(f"denominator {cof.den!r} is left over "
                                 f"Xi^{M} for {D.label()}")

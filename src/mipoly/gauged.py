@@ -81,6 +81,7 @@ from .exact import (
     poly_divmod,
     poly_lcm,
     rat,
+    rat_str,
 )
 
 
@@ -90,6 +91,11 @@ class GaugeMismatch(ValueError):
 
 class NotPolynomial(ValueError):
     """A quantity that must be polynomial has a nontrivial denominator or gauge."""
+
+
+def gauge_str(exps: Sequence) -> str:
+    """Gauge exponents (a, b, c, d) as "(a, b, c, d)" in "p/q" form."""
+    return f"({', '.join(rat_str(e) for e in exps)})"
 
 
 _HALF_MINUS = Poly([Fraction(1, 2), Fraction(-1, 2)])  # (1-eta)/2
@@ -177,7 +183,8 @@ class GaugedFn:
             return self
         if self.gauge() != other.gauge():
             raise GaugeMismatch(
-                f"cannot add gauges {self.gauge()} and {other.gauge()}")
+                f"cannot add gauges {gauge_str(self.gauge())} and "
+                f"{gauge_str(other.gauge())}")
         return GaugedFn(self.a, self.b, self.c, self.d, self.r + other.r)
 
     __radd__ = __add__
@@ -209,7 +216,8 @@ class GaugedFn:
 
     def as_ratfunc(self) -> RatFunc:
         if not self.is_gaugeless():
-            raise NotPolynomial(f"gauge {self.gauge()} does not reduce away")
+            raise NotPolynomial(
+                f"gauge {gauge_str(self.gauge())} does not reduce away")
         return self.r
 
     def as_poly(self) -> Poly:

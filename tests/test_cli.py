@@ -7,11 +7,13 @@ shell user sees; stdout is parsed back as JSON and compared exactly.
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,6 +139,7 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
     ["construct", "--family", "H", "--g", "7/3"],
     ["construct", "--g", "7/3"],                  # no --family
     _L_PAIR + ["--g", "7/3", "stray"],
+    _L_PAIR + ["--g", "7/3", "--help=1"],
     ["--nmax", "2"],
     [],
 ])
@@ -148,7 +151,8 @@ def test_unusable_command_lines_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["construct", "-h"],
-                                  ["recurrence", "--family", "L", "--he"]])
+                                  ["recurrence", "--family", "L", "--he"],
+                                  ["verify", "--h"]])
 def test_help_prints_usage(capsys, argv):
     assert main(argv) == 0
     out, err = capsys.readouterr()
@@ -233,13 +237,13 @@ def test_recurrence_names_identically_zero_member(capsys):
 
 
 def test_recurrence_names_route_witness(capsys, monkeypatch):
-    real = cli.recurrence_bispectral
+    real = shiftalg.recurrence_bispectral
 
     def perturbed(pp, D, Y, n):
         row = real(pp, D, Y, n)
         return {**row, 1: row[1] + 1} if n == 3 else row
 
-    monkeypatch.setattr(cli, "recurrence_bispectral", perturbed)
+    monkeypatch.setattr(shiftalg, "recurrence_bispectral", perturbed)
     code, doc = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
                                   "--indices", "1I", "--nmax", "4"])
     assert code == 1
@@ -524,14 +528,53 @@ def test_text_format(capsys):
     assert "PASS" in out
 
 
+_OPERATOR_LAYERS = ["mipoly.diffop", "mipoly.recurrence", "mipoly.shiftalg"]
+
+
 def test_cold_import_skips_dataclasses():
     # every CLI call pays its imports; the records are plain slotted
-    # classes, so dataclasses (and inspect behind it) stay unloaded, and
-    # getopt parses the command line, so argparse and locale do too
-    env = _env_with_src()
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import mipoly.cli, sys; print(sorted({'dataclasses', 'argparse', "
-         "'locale'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    # classes, so dataclasses (and inspect behind it) stay unloaded; the
+    # command line is matched against the flag table, so argparse,
+    # locale, getopt and gettext do too; the operator layers load only
+    # inside the commands that run them
+    unwanted = ["dataclasses", "argparse", "locale", "getopt", "gettext",
+                *_OPERATOR_LAYERS]
+    script = ("import mipoly.cli, sys; "
+              f"print({unwanted!r} & sys.modules.keys())")
+    out = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "set()"
+
+
+def test_construct_runs_without_the_operator_layers():
+    script = f"""
+import contextlib, io, sys
+from mipoly.cli import main
+family = ["--family", "J", "--g", "7/3", "--h", "9/4",
+          "--indices", "1I,3I,2II"]
+loaded = lambda: sorted({_OPERATOR_LAYERS!r} & sys.modules.keys())
+with contextlib.redirect_stdout(io.StringIO()):
+    built = main(["construct", *family, "--nmax", "20"]), loaded()
+    ran = main(["recurrence", *family, "--nmax", "2"]), loaded()
+print(built, ran)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == f"(0, []) (0, {_OPERATOR_LAYERS!r})"
+
+
+def test_json_is_written_in_batches(monkeypatch):
+    # larger than one batch: the text is json.dumps's, in at most one
+    # write per batch of encoder chunks plus the final newline
+    args = cli._parse_args(["construct", "--family", "L", "--g", "7/3",
+                            "--indices", "1II,2II", "--nmax", "40"])
+    doc, code = cli.cmd_construct(args)
+    assert code == 0
+    chunks = len(list(
+        json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)))
+    assert chunks > cli._BATCH
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    cli._emit(doc, args)
+    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(writes) <= math.ceil(chunks / cli._BATCH) + 1
