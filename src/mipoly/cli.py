@@ -25,7 +25,8 @@ by ``_flag``: ``--flag value`` or ``--flag=value``, a value may start
 with "-", a flag named in full beats any flag it is a prefix of, and
 otherwise a unique prefix stands for its flag.  Any unusable command
 line is a ``ConfigError`` (``mipoly: ...`` on stderr, exit 2, empty
-stdout); ``-h``/``--help`` prints the usage text.  Each subcommand
+stdout), also after ``-h``/``--help``, which otherwise prints the usage
+text.  Each subcommand
 imports the layers it runs: ``construct`` loads none of ``diffop``,
 ``recurrence`` or ``shiftalg``.  A JSON document is written in batches
 of encoder chunks, never held whole as one string.
@@ -595,9 +596,13 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     table = dict(_COMMANDS[command][1]) if command else {}
     values, words = dict(table), iter(argv[1:] if command else argv)
+    # a help request still reads the whole line, so a malformed word after
+    # it is an error, but the values after it are not checked
+    helped = False
     for word in words:
         if word == "-h":
-            return None
+            helped = True
+            continue
         if not word.startswith("--"):
             if command is None:
                 break
@@ -607,11 +612,14 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
         if flag == "help":
             if eq:
                 raise ConfigError("option --help must not have an argument")
-            return None
+            helped = True
+            continue
         # "--g -1/2": the word after a flag is its value, whatever it is
         value = value if eq else next(words, None)
         if value is None:
             raise ConfigError(f"option --{flag} requires argument")
+        if helped:
+            continue
         if isinstance(table[flag], int):
             try:
                 value = int(value)
@@ -625,6 +633,8 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
             raise ConfigError(f"--{flag}: {value!r} is not one of "
                               f"{', '.join(_CHOICES[flag])}")
         values[flag] = value
+    if helped:
+        return None
     if command is None:
         raise ConfigError("expected a subcommand: construct, recurrence "
                           "or verify (see mipoly --help)")

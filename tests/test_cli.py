@@ -140,6 +140,10 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
     ["construct", "--g", "7/3"],                  # no --family
     _L_PAIR + ["--g", "7/3", "stray"],
     _L_PAIR + ["--g", "7/3", "--help=1"],
+    ["construct", "--help", "--bogus"],           # help reads the whole line
+    ["construct", "-h", "stray"],
+    ["construct", "-h", "--nmax"],
+    ["-h", "--bogus"],
     ["--nmax", "2"],
     [],
 ])
@@ -152,7 +156,8 @@ def test_unusable_command_lines_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["construct", "-h"],
                                   ["recurrence", "--family", "L", "--he"],
-                                  ["verify", "--h"]])
+                                  ["verify", "--h"],
+                                  ["construct", "-h", "--nmax", "x"]])
 def test_help_prints_usage(capsys, argv):
     assert main(argv) == 0
     out, err = capsys.readouterr()

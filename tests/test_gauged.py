@@ -172,6 +172,9 @@ def test_gauge_mismatch_raises():
 
 def test_extraction_errors():
     with pytest.raises(NotPolynomial,
+                       match=r"^gauge \(1, 0, 0, 0\) does not reduce away$"):
+        GaugedFn(a=1).as_ratfunc()
+    with pytest.raises(NotPolynomial,
                        match=r"^gauge \(0, 1/2, 0, 0\) does not reduce away$"):
         GaugedFn(b=Fraction(1, 2)).as_ratfunc()
     with pytest.raises(NotPolynomial):
