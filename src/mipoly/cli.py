@@ -404,9 +404,8 @@ def _suite_shiftalg(args) -> Report:
                            star_identities_check)
     report = star_identities_check(seed=args.seed, trials=2 * args.samples)
     for pp in _sample_points(min(args.samples, 2)):
-        size = args.nmax + 6
-        report += commutator_check(pp, size, nmax=args.nmax)
-        report += power_formulas_check(pp, size)
+        report += commutator_check(pp, args.nmax)
+        report += power_formulas_check(pp, args.nmax)
     return report
 
 

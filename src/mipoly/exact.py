@@ -445,10 +445,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
     @classmethod
     def of(cls, x) -> "RatFunc":
         """x itself if it is a RatFunc, else the RatFunc of a Poly or scalar."""

@@ -38,13 +38,13 @@ and T act on the family and ST means "T first", then the matrix of ST is
 mat(T) @ mat(S), which is why the eta-powers sit to the left of the
 derivative powers.
 
-The dense matrices (``OpMatrix``) on a truncated slice of the basis
-serve the commutator and power-formula checks.  Truncation spoils the
-trailing columns of anything that raises the degree, so every matrix
-carries a safe window (the largest trustworthy column) and an upward
-bandwidth, both propagated through sums and products; reading beyond
-the window raises instead of returning silently wrong entries.
-``flat_map`` packs the column action into such a matrix.
+The index-shift matrices (``OpMatrix``) are these actions seen as
+column maps: ``column(n)`` is the whole expansion of Op P_n, never
+truncated, and S * T applies S to each column of T ("T first", as for
+matrices).  ``delta_matrix`` and ``gamma_matrix`` are the eta- and
+derivative actions and ``flat_map`` the column action of any operator;
+the commutator and power-formula checks read them column by column, for
+any n, with no window to track.
 
 The normal-ordered shift layer implements substitution
 operators f(n) |-> f(n + g(n)) on polynomials in the index, with their
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from .checks import Report, agree
 from .diffop import DiffOp
@@ -79,119 +79,6 @@ from .families import (
 )
 from .mindexed import IndexSet, pi_factor
 from .recurrence import theta_op
-
-
-class SafeWindowExhausted(RuntimeError):
-    """A truncated operator matrix was read beyond its exact columns."""
-
-
-# -- exact matrices acting on the basis by columns ---------------------------
-
-
-class OpMatrix:
-    """Square exact matrix acting on {P_0, ..., P_{size-1}} by columns.
-
-    Column n holds the basis expansion of the image of P_n:
-    Op P_n = sum_m entries[m][n] P_m.  `safe` is the largest column index
-    unharmed by truncation, `band_up` bounds how far the operator can
-    raise the degree; both are propagated through sums and products.
-    """
-
-    def __init__(self, entries, safe: int, band_up: int):
-        self.entries = tuple(tuple(Fraction(x) for x in row)
-                             for row in entries)
-        self.size = len(self.entries)
-        self.safe = min(safe, self.size - 1)
-        self.band_up = band_up
-
-    @staticmethod
-    def zero(size: int) -> "OpMatrix":
-        row = (Fraction(0),) * size
-        return OpMatrix([row] * size, size - 1, -size)
-
-    @staticmethod
-    def identity(size: int) -> "OpMatrix":
-        entries = [[Fraction(int(m == n)) for n in range(size)]
-                   for m in range(size)]
-        return OpMatrix(entries, size - 1, 0)
-
-    def entry(self, m: int, n: int) -> Fraction:
-        if n > self.safe:
-            raise SafeWindowExhausted(
-                f"column {n} is beyond the safe window (<= {self.safe})")
-        return self.entries[m][n]
-
-    def column(self, n: int) -> Tuple[Fraction, ...]:
-        if n > self.safe:
-            raise SafeWindowExhausted(
-                f"column {n} is beyond the safe window (<= {self.safe})")
-        return tuple(row[n] for row in self.entries)
-
-    def scaled(self, c) -> "OpMatrix":
-        c = Fraction(c)
-        return OpMatrix([[c * x for x in row] for row in self.entries],
-                        self.safe, self.band_up)
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        assert self.size == other.size
-        entries = [[a + b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(self.entries, other.entries)]
-        return OpMatrix(entries, min(self.safe, other.safe),
-                        max(self.band_up, other.band_up))
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return self + other.scaled(-1)
-
-    def __mul__(self, other: "OpMatrix") -> "OpMatrix":
-        # column n of the product applies self to column n of other, so
-        # self must be exact up to the highest row other can populate
-        assert self.size == other.size
-        size = self.size
-        cols = list(zip(*other.entries))
-        entries = [[sum((row[l] * col[l] for l in range(size)
-                         if row[l] and col[l]), Fraction(0))
-                    for col in cols] for row in self.entries]
-        safe = min(other.safe, self.safe - max(other.band_up, 0))
-        return OpMatrix(entries, safe, self.band_up + other.band_up)
-
-    def entry_cases(self, other: "OpMatrix"):
-        """(entry, self, other) cases on the shared safe columns."""
-        upto = min(self.safe, other.safe)
-        return ((f"entry ({m},{n})", self.entries[m][n], other.entries[m][n])
-                for n in range(upto + 1) for m in range(self.size))
-
-    def agrees_with(self, other: "OpMatrix") -> bool:
-        """Entrywise equality on the shared safe columns."""
-        return all(a == b for _, a, b in self.entry_cases(other))
-
-    def __repr__(self) -> str:
-        return (f"OpMatrix(size={self.size}, safe={self.safe}, "
-                f"band_up={self.band_up})")
-
-
-@functools.lru_cache(maxsize=None)
-def delta_matrix(pp: ParamPoint, size: int) -> OpMatrix:
-    """Matrix of eta-multiplication: tridiagonal from the recurrence."""
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for n in range(size):
-        A, B, C = recurrence_abc(pp, n)
-        if n + 1 < size:
-            entries[n + 1][n] = A
-        entries[n][n] = B
-        if n - 1 >= 0:
-            entries[n - 1][n] = C
-    # the last column loses its degree-raising entry to truncation
-    return OpMatrix(entries, size - 2, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def gamma_matrix(pp: ParamPoint, size: int) -> OpMatrix:
-    """Matrix of differentiation: strictly degree-lowering."""
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for n in range(size):
-        for k in range(1, n + 1):
-            entries[n - k][n] = cnk(pp, n, k)
-    return OpMatrix(entries, size - 1, -1)
 
 
 # -- normal-ordered shifts on polynomials in the index -----------------------
@@ -246,15 +133,14 @@ def cross_term_cases(pp: ParamPoint, nmax: int):
             for n in range(1, nmax + 1) for k in range(1, n + 1))
 
 
-def commutator_check(pp: ParamPoint, size: int, nmax: int = 20) -> Report:
+def commutator_check(pp: ParamPoint, nmax: int) -> Report:
     """The two faces of [derivative-action, eta-action] = identity."""
-    d = delta_matrix(pp, size)
-    g = gamma_matrix(pp, size)
+    d, g = delta_matrix(pp), gamma_matrix(pp)
     bracket = g * d - d * g
-    return [agree("commutator_window",
-                  f"columns 0..{bracket.safe} at size {size}",
-                  OpMatrix.identity(size).entry_cases(bracket)),
-            agree("cross_terms_vanish", f"n <= {nmax}",
+    return [agree("commutator_window", f"{pp}; columns n <= {nmax}",
+                  ((f"column {n}", {n: 1}, bracket.column(n))
+                   for n in range(nmax + 1))),
+            agree("cross_terms_vanish", f"{pp}; n <= {nmax}",
                   cross_term_cases(pp, nmax))]
 
 
@@ -294,44 +180,30 @@ def star_identities_check(seed: int = 0, trials: int = 10) -> Report:
         absorb.append((f"trial {i}, j={j}, k={k}", collapsing_shift(k).apply(f),
                        collapsing_shift(j).star(collapsing_shift(k)).apply(f)))
     return out + [
-        agree("star_associative", f"{trials} random triples", assoc),
-        agree("star_matches_composition", f"{trials} random pairs",
-              composition),
-        agree("collapse_action_absorbs", f"{trials} random j,k", absorb)]
+        agree("star_associative", f"seed {seed}; {trials} random triples",
+              assoc),
+        agree("star_matches_composition",
+              f"seed {seed}; {trials} random pairs", composition),
+        agree("collapse_action_absorbs", f"seed {seed}; {trials} random j,k",
+              absorb)]
 
 
 # -- closed forms for powers of the two actions ------------------------------
 
 
-def delta_power_matrix(pp: ParamPoint, i: int, size: int) -> OpMatrix:
-    """i-th power of the eta-action from its three-term path recursion."""
+def delta_power_column(pp: ParamPoint, i: int, n: int) -> Column:
+    """Column n of the i-th power of the eta-action, by its three-term
+    path recursion: paths[k] sums the weights of the paths from row n to
+    row n + k."""
     if i < 0:
         raise ValueError("power must be >= 0")
-    table: Dict[int, List[Fraction]] = {0: [Fraction(1)] * size}
+    paths = {0: Fraction(1)}
     for _ in range(i):
-        new: Dict[int, List[Fraction]] = {}
-        for k in range(-i, i + 1):
-            col = []
-            for n in range(size):
-                prev_lo = table.get(k - 1, None)
-                prev_mid = table.get(k, None)
-                prev_hi = table.get(k + 1, None)
-                v = Fraction(0)
-                if prev_lo is not None and prev_lo[n]:
-                    v += prev_lo[n] * recurrence_abc(pp, n + k - 1)[0]
-                if prev_mid is not None and prev_mid[n]:
-                    v += prev_mid[n] * recurrence_abc(pp, n + k)[1]
-                if prev_hi is not None and prev_hi[n]:
-                    v += prev_hi[n] * recurrence_abc(pp, n + k + 1)[2]
-                col.append(v)
-            new[k] = col
-        table = new
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for k, col in table.items():
-        for n in range(size):
-            if 0 <= n + k < size:
-                entries[n + k][n] = col[n]
-    return OpMatrix(entries, size - 1 - i, i)
+        paths = {k: paths.get(k - 1, 0) * recurrence_abc(pp, n + k - 1)[0]
+                 + paths.get(k, 0) * recurrence_abc(pp, n + k)[1]
+                 + paths.get(k + 1, 0) * recurrence_abc(pp, n + k + 1)[2]
+                 for k in range(-i, i + 1)}
+    return {n + k: v for k, v in sorted(paths.items()) if v and n + k >= 0}
 
 
 def _compositions(total: int, parts: int):
@@ -344,49 +216,62 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def gamma_power_matrix(pp: ParamPoint, j: int, size: int) -> OpMatrix:
-    """j-th power of the derivative action from its nested-sum form."""
+def gamma_power_column(pp: ParamPoint, j: int, n: int) -> Column:
+    """Column n of the j-th power of the derivative action, by its nested
+    sum: row n - k sums c_(n,k_1) c_(n-k_1,k_2) ... over the compositions
+    k_1 + ... + k_j = k."""
     if j < 0:
         raise ValueError("power must be >= 0")
     if j == 0:
-        return OpMatrix.identity(size)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for n in range(size):
-        for k1 in range(j, n + 1):
-            total = Fraction(0)
-            for comp in _compositions(k1, j):
-                factor = Fraction(1)
-                at = n
-                for part in comp:
-                    factor *= cnk(pp, at, part)
-                    if not factor:
-                        break
-                    at -= part
-                total += factor
-            entries[n - k1][n] = total
-    return OpMatrix(entries, size - 1, -j)
+        return {n: Fraction(1)}
+    out: Column = {}
+    for k1 in range(j, n + 1):
+        total = Fraction(0)
+        for comp in _compositions(k1, j):
+            factor = Fraction(1)
+            at = n
+            for part in comp:
+                factor *= cnk(pp, at, part)
+                if not factor:
+                    break
+                at -= part
+            total += factor
+        if total:
+            out[n - k1] = total
+    return out
 
 
-def power_formulas_check(pp: ParamPoint, size: int, imax: int = 3) -> Report:
-    """Closed-form powers against repeated matrix products."""
+def power_formulas_check(pp: ParamPoint, nmax: int, imax: int = 3) -> Report:
+    """Closed-form power columns against repeated products, n <= nmax."""
     out: Report = []
-    d = delta_matrix(pp, size)
-    g = gamma_matrix(pp, size)
-    dprod = OpMatrix.identity(size)
-    gprod = OpMatrix.identity(size)
+    d, g = delta_matrix(pp), gamma_matrix(pp)
+    dprod, gprod = d, g
+    detail = f"{pp}; columns n <= {nmax}"
     for i in range(1, imax + 1):
-        dprod = dprod * d
-        gprod = gprod * g
-        out.append(agree(f"eta_power_{i}", f"size {size}",
-                         dprod.entry_cases(delta_power_matrix(pp, i, size))))
-        out.append(agree(f"derivative_power_{i}", f"size {size}",
-                         gprod.entry_cases(gamma_power_matrix(pp, i, size))))
+        out.append(agree(f"eta_power_{i}", detail,
+                         ((f"column {n}", dprod.column(n),
+                           delta_power_column(pp, i, n))
+                          for n in range(nmax + 1))))
+        out.append(agree(f"derivative_power_{i}", detail,
+                         ((f"column {n}", gprod.column(n),
+                           gamma_power_column(pp, i, n))
+                          for n in range(nmax + 1))))
+        dprod, gprod = d * dprod, g * gprod
     return out
 
 
 # -- operators in (eta, d/deta) as index-shift actions -----------------------
 
 Column = Dict[int, Fraction]   # basis expansion: m -> coefficient of P_m
+
+
+def _combine(terms: Iterable[Tuple[Fraction, Column]]) -> Column:
+    """sum c * col over the (c, col) terms, zero entries dropped."""
+    out: Column = {}
+    for c, col in terms:
+        for m, v in col.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in sorted(out.items()) if v}
 
 
 def _eta_column(pp: ParamPoint, col: Column) -> Column:
@@ -429,37 +314,66 @@ def column_action(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
     Writes theta = sum_{i,j} F_ij eta^i d^j; the derivative action runs
     j times on e_n, then sum_i F_ij eta^i by Horner in the eta-action.
     """
-    total: Column = {}
+    terms = []
     dcol: Column = {n: Fraction(1)}
     for j, cj in enumerate(theta.poly_coeffs()):
         if j > 0:
             dcol = _derivative_column(pp, dcol)
             if not dcol:
                 break
-        if cj.is_zero():
-            continue
-        for m, v in _horner(pp, cj.coeffs, dcol).items():
-            total[m] = total.get(m, 0) + v
-    return {m: v for m, v in sorted(total.items()) if v}
+        if not cj.is_zero():
+            terms.append((1, _horner(pp, cj.coeffs, dcol)))
+    return _combine(terms)
 
 
-def flat_map(theta: DiffOp, pp: ParamPoint, size: int) -> OpMatrix:
-    """Matrix of a polynomial-coefficient operator's action on {P_n}.
+# -- index-shift actions as column maps --------------------------------------
 
-    Column n is ``column_action`` restricted to rows below `size`.  It
-    holds the whole image of P_n for n up to the safe window
-    size - 1 - (largest degree of a coefficient of theta).
+
+class OpMatrix:
+    """An operator's action on {P_n}, column by column.
+
+    ``column(n)`` is the whole expansion of Op P_n over {P_m}, with zero
+    entries dropped.  S * T is "T first", as for matrices: its column n
+    is S applied to column n of T.  Sums and products are lazy, so a
+    column is computed when it is read.
     """
-    polys = theta.poly_coeffs()
-    terms = [(j, p.degree) for j, p in enumerate(polys) if not p.is_zero()]
-    imax = max((i for _, i in terms), default=0)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for n in range(size):
-        for m, v in column_action(theta, pp, n).items():
-            if m < size:
-                entries[m][n] = v
-    return OpMatrix(entries, size - 1 - imax,
-                    max((i - j for j, i in terms), default=-size))
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: Callable[[int], Column]):
+        self.column = column
+
+    def apply(self, col: Column) -> Column:
+        """The action on the expansion `col`."""
+        return _combine((v, self.column(m)) for m, v in col.items())
+
+    def __mul__(self, other: "OpMatrix") -> "OpMatrix":
+        return OpMatrix(lambda n: self.apply(other.column(n)))
+
+    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+        return OpMatrix(lambda n: _combine(
+            ((1, self.column(n)), (1, other.column(n)))))
+
+    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
+        return OpMatrix(lambda n: _combine(
+            ((1, self.column(n)), (-1, other.column(n)))))
+
+
+@functools.lru_cache(maxsize=None)
+def delta_matrix(pp: ParamPoint) -> OpMatrix:
+    """eta-multiplication: tridiagonal, from the three-term recurrence."""
+    return OpMatrix(lambda n: _eta_column(pp, {n: Fraction(1)}))
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_matrix(pp: ParamPoint) -> OpMatrix:
+    """Differentiation: strictly degree-lowering."""
+    return OpMatrix(lambda n: _derivative_column(pp, {n: Fraction(1)}))
+
+
+def flat_map(theta: DiffOp, pp: ParamPoint) -> OpMatrix:
+    """A polynomial-coefficient operator's action, by ``column_action``."""
+    return OpMatrix(functools.partial(column_action, theta, pp))
 
 
 # -- the bispectral normal form ----------------------------------------------
@@ -537,17 +451,15 @@ def banded_column(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
     passes in the eta-action, on columns at most 2 deg U_n + 1 wide.
     """
     lam = -energy(pp, n) / 4
-    total: Column = {}
+    terms = []
     for polys, base in zip(normal_form(theta, pp),
                            ({n: Fraction(1)}, _k_column(pp, n))):
         p = ZERO
         for poly in reversed(polys):
             p = p * lam + poly
-        if p.is_zero() or not base:
-            continue
-        for m, v in _horner(pp, p.coeffs, base).items():
-            total[m] = total.get(m, 0) + v
-    return {m: v for m, v in sorted(total.items()) if v}
+        if base and not p.is_zero():
+            terms.append((1, _horner(pp, p.coeffs, base)))
+    return _combine(terms)
 
 
 def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,

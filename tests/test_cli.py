@@ -344,6 +344,42 @@ def test_verify_row_with_no_cases_fails(capsys, suite, name):
     assert all(r["detail"].endswith("; no cases checked") for r in rows)
 
 
+def test_verify_shiftalg_rows_name_their_point(capsys):
+    # the row names repeat once per parameter point, so only the detail
+    # can tell a failing row's point
+    code, doc = run_json(capsys, ["verify", "--suite", "shiftalg",
+                                  "--seed", "5"])
+    assert code == 0
+    rows = [(c["name"], c["detail"]) for c in doc["checks"]]
+    assert len(set(rows)) == len(rows)
+    points = [str(pp) for pp in cli._sample_points(2)]
+    pointed = [detail.split("; ")[0] for name, detail in rows
+               if name.startswith(("shiftalg/commutator", "shiftalg/cross",
+                                   "shiftalg/eta_power",
+                                   "shiftalg/derivative_power"))]
+    assert pointed == [pp for pp in points for _ in range(8)]
+
+
+def test_verify_names_power_witness(capsys, monkeypatch):
+    # one wrong closed-form entry, for L at n = 5, fails exactly its row
+    real = shiftalg.gamma_power_column
+
+    def perturbed(pp, j, n):
+        col = dict(real(pp, j, n))
+        if pp.family == "L" and j == 2 and n == 5:
+            col[3] = col.get(3, 0) + 1
+        return col
+
+    monkeypatch.setattr(shiftalg, "gamma_power_column", perturbed)
+    code, doc = run_json(capsys, ["verify", "--suite", "shiftalg",
+                                  "--samples", "1"])
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["shiftalg/derivative_power_2"]
+    assert failed[0]["detail"].startswith(
+        "L g=7/3; columns n <= 8; 1 of 9 cases fail, first at column 5: ")
+
+
 def test_verify_families_and_mindexed(capsys):
     code, doc = run_json(capsys, ["verify", "--suite", "families",
                                   "--samples", "2", "--nmax", "6"])

@@ -1,10 +1,10 @@
 """Index-shift matrices: faithfulness, powers, and the matrix route.
 
-The matrix of eta-multiplication (tridiagonal, from the three-term
+The columns of eta-multiplication (tridiagonal, from the three-term
 recurrence) and of differentiation (strictly degree-lowering) must
 reproduce the honest basis expansions of eta P_n and P_n' -- that oracle
 never touches the matrix layer.  On top sit the commutator identity on
-the safe window, the closed-form power formulas, the order-reversal of
+every column, the closed-form power formulas, the order-reversal of
 the operator-to-matrix translation, and finally the matrix route to the
 recurrence coefficients, which has to agree entrywise with the direct
 expansion route and reproduce the explicit closed-form tables.
@@ -37,17 +37,16 @@ from mipoly.shiftalg import (
     DecompositionFailure,
     NormalOrderedShift,
     OpMatrix,
-    SafeWindowExhausted,
     banded_column,
     bnk_value,
     collapsing_shift,
     column_action,
     commutator_check,
     delta_matrix,
-    delta_power_matrix,
+    delta_power_column,
     flat_map,
     gamma_matrix,
-    gamma_power_matrix,
+    gamma_power_column,
     normal_form,
     power_formulas_check,
     recurrence_bispectral,
@@ -70,8 +69,11 @@ LG = ParamPoint("L", g=F(7, 3))
 JG = ParamPoint("J", g=F(7, 3), h=F(9, 4))
 
 
-def _col_dict(mat, n):
-    return {m: v for m, v in enumerate(mat.column(n)) if v}
+def _scalar(c):
+    return OpMatrix(lambda n: {n: F(c)} if c else {})
+
+
+IDENTITY = _scalar(1)
 
 
 # -- faithfulness against basis-expansion oracles ---------------------------
@@ -79,60 +81,37 @@ def _col_dict(mat, n):
 
 @pytest.mark.parametrize("pp", ALL_PARAMS)
 def test_eta_action_matches_expansion(pp):
-    mat = delta_matrix(pp, 11)
-    for n in range(mat.safe + 1):
+    mat = delta_matrix(pp)
+    for n in range(11):
         want = expand_in_classical(pp, ETA * classical_poly(pp, n))
-        assert _col_dict(mat, n) == want, n
+        assert mat.column(n) == want, n
 
 
 @pytest.mark.parametrize("pp", ALL_PARAMS)
 def test_derivative_action_matches_expansion(pp):
-    mat = gamma_matrix(pp, 11)
-    for n in range(mat.safe + 1):
+    mat = gamma_matrix(pp)
+    for n in range(11):
         want = expand_in_classical(pp, differentiate(classical_poly(pp, n)))
-        assert _col_dict(mat, n) == want, n
+        assert mat.column(n) == want, n
 
 
 def test_hermite_eta_column_pinned():
     # eta H_1 = 1/2 H_2 + H_0
-    mat = delta_matrix(HERMITE, 6)
-    assert _col_dict(mat, 1) == {2: F(1, 2), 0: F(1)}
+    assert delta_matrix(HERMITE).column(1) == {2: F(1, 2), 0: F(1)}
 
 
 def test_laguerre_derivative_entries_all_minus_one():
-    mat = gamma_matrix(LG, 9)
+    mat = gamma_matrix(LG)
     for n in range(9):
-        for m in range(9):
-            assert mat.entries[m][n] == (-1 if m < n else 0)
+        assert mat.column(n) == {m: -1 for m in range(n)}
 
 
 def test_jacobi_first_subdiagonal_pinned():
     a, b = JG.g - F(1, 2), JG.h - F(1, 2)
-    mat = gamma_matrix(JG, 9)
+    mat = gamma_matrix(JG)
     for n in range(1, 9):
         want = (n + a + b + 1) / 2 * jacobi_ank(a, b, n - 1, 0)
-        assert mat.entries[n - 1][n] == want
-
-
-# -- safe-window bookkeeping -------------------------------------------------
-
-
-def test_safe_window_reads_guarded():
-    mat = delta_matrix(LG, 8)
-    assert mat.safe == 6
-    with pytest.raises(SafeWindowExhausted):
-        mat.column(7)
-    with pytest.raises(SafeWindowExhausted):
-        mat.entry(0, 7)
-
-
-def test_safe_window_product_rules():
-    d = delta_matrix(LG, 10)
-    g = gamma_matrix(LG, 10)
-    assert (d * d).safe == 7 and (d * d).band_up == 2
-    assert (d * g).safe == 8 and (d * g).band_up == 0
-    assert (g * d).safe == 8
-    assert (d + g).safe == 8 and (d + g).band_up == 1
+        assert mat.column(n)[n - 1] == want
 
 
 # -- commutator and cross terms ----------------------------------------------
@@ -140,19 +119,29 @@ def test_safe_window_product_rules():
 
 @pytest.mark.parametrize("pp", ALL_PARAMS)
 def test_commutator_checks_pass(pp):
-    for name, ok, detail in commutator_check(pp, 12, nmax=20):
+    for name, ok, detail in commutator_check(pp, 20):
         assert ok, (name, detail)
 
 
+@pytest.mark.parametrize("pp", [HERMITE, LG, JG], ids=["H", "L", "J"])
+def test_commutator_holds_past_any_window(pp):
+    # untruncated columns: the bracket is the identity as far out as
+    # one reads, here n <= 30
+    report = commutator_check(pp, 30)
+    assert [name for name, _, _ in report] == ["commutator_window",
+                                               "cross_terms_vanish"]
+    for name, ok, detail in report:
+        assert ok, (name, detail)
+    assert report[0].detail == f"{pp}; columns n <= 30"
+
+
 def test_hermite_commutator_exact_everywhere():
-    # no collapse correction at all: C_0 = 0
-    size = 10
-    d = delta_matrix(HERMITE, size)
-    g = gamma_matrix(HERMITE, size)
+    # no collapse correction at all (C_0 = 0): the bracket is the
+    # identity on any expansion, not only on a basis column
+    d, g = delta_matrix(HERMITE), gamma_matrix(HERMITE)
     bracket = g * d - d * g
-    ident = OpMatrix.identity(size)
-    assert all(bracket.entries[m][n] == ident.entries[m][n]
-               for n in range(size - 1) for m in range(size))
+    col = {0: F(2), 3: F(-1), 7: F(1, 3), 12: F(5)}
+    assert bracket.apply(col) == col
 
 
 @pytest.mark.parametrize("pp", ALL_PARAMS)
@@ -197,26 +186,22 @@ def test_power_formulas_agree(pp):
 
 
 def test_delta_power_base_case():
-    mat = delta_power_matrix(LG, 1, 8)
     for n in range(7):
-        assert mat.entries[n + 1][n] == recurrence_abc(LG, n)[0]
+        col = delta_power_column(LG, 1, n)
+        assert col[n + 1] == recurrence_abc(LG, n)[0]
+        assert col == delta_matrix(LG).column(n)
 
 
 def test_hermite_derivative_cube_pinned():
-    size = 10
-    mat = gamma_power_matrix(HERMITE, 3, size)
-    for n in range(size):
-        for m in range(size):
-            want = 8 * n * (n - 1) * (n - 2) if m == n - 3 else 0
-            assert mat.entries[m][n] == want
+    for n in range(10):
+        want = {n - 3: 8 * n * (n - 1) * (n - 2)} if n >= 3 else {}
+        assert gamma_power_column(HERMITE, 3, n) == want
 
 
 def test_laguerre_derivative_square_pinned():
-    size = 10
-    mat = gamma_power_matrix(LG, 2, size)
-    for n in range(size):
-        for k in range(1, n + 1):
-            assert mat.entries[n - k][n] == k - 1
+    for n in range(10):
+        assert gamma_power_column(LG, 2, n) == {n - k: k - 1
+                                                for k in range(2, n + 1)}
 
 
 # -- the operator-to-matrix translation ---------------------------------------
@@ -224,53 +209,50 @@ def test_laguerre_derivative_square_pinned():
 
 @pytest.mark.parametrize("pp", [HERMITE, LG, JG])
 def test_flat_map_of_generators(pp):
-    size = 9
-    assert flat_map(DiffOp([ETA]), pp, size).agrees_with(
-        delta_matrix(pp, size))
-    assert flat_map(DiffOp.derivative(), pp, size).agrees_with(
-        gamma_matrix(pp, size))
+    flat_eta = flat_map(DiffOp([ETA]), pp)
+    flat_d = flat_map(DiffOp.derivative(), pp)
+    for n in range(9):
+        assert flat_eta.column(n) == delta_matrix(pp).column(n), n
+        assert flat_d.column(n) == gamma_matrix(pp).column(n), n
 
 
 @pytest.mark.parametrize("pp", [HERMITE, LG, JG])
 def test_translation_reverses_products(pp):
     # d o eta translates to mat(eta) mat(d) + 1; the same-order product
-    # is off by the identity, the reversed one agrees on the window
-    size = 9
+    # is off by the identity, the reversed one agrees
     d_op, eta_op = DiffOp.derivative(), DiffOp([ETA])
-    flat_fg = flat_map(d_op.compose(eta_op), pp, size)
-    dmat, gmat = delta_matrix(pp, size), gamma_matrix(pp, size)
-    ident = OpMatrix.identity(size)
+    flat_fg = flat_map(d_op.compose(eta_op), pp)
+    dmat, gmat = delta_matrix(pp), gamma_matrix(pp)
     same_order = dmat * gmat
-    assert all(flat_fg.entries[m][n] == (same_order + ident).entries[m][n]
-               for n in range(size) for m in range(size))
-    assert not flat_fg.agrees_with(same_order)
-    assert flat_fg.agrees_with(gmat * dmat)
+    for n in range(9):
+        assert flat_fg.column(n) == (same_order + IDENTITY).column(n), n
+        assert flat_fg.column(n) != same_order.column(n), n
+        assert flat_fg.column(n) == (gmat * dmat).column(n), n
 
 
 @pytest.mark.parametrize("pp", [HERMITE, LG, JG])
 def test_flat_map_action_matches_operator(pp):
     # quadratic-coefficient operator applied two ways
     theta = DiffOp([Poly([0, 2, 1]), Poly([3, 0, 0, 1]), Poly([1, 1])])
-    size = 12
-    flat = flat_map(theta, pp, size)
-    for n in range(flat.safe + 1):
+    flat = flat_map(theta, pp)
+    for n in range(12):
         image = theta.apply(classical_poly(pp, n)).as_poly()
-        assert _col_dict(flat, n) == expand_in_classical(pp, image), n
+        assert flat.column(n) == expand_in_classical(pp, image), n
 
 
-def _dense_flat(theta, pp, size):
-    """Reference: sum_j (sum_i F_ij mat(eta)^i) mat(d)^j by dense products."""
-    delta, gamma = delta_matrix(pp, size), gamma_matrix(pp, size)
-    ident = OpMatrix.identity(size)
-    total, gpow = OpMatrix.zero(size), ident
+def _product_flat(theta, pp):
+    """Reference: sum_j (sum_i F_ij mat(eta)^i) mat(d)^j by products of
+    column maps, the eta-polynomial by Horner."""
+    delta, gamma = delta_matrix(pp), gamma_matrix(pp)
+    total, gpow = _scalar(0), IDENTITY
     for j, cj in enumerate(theta.poly_coeffs()):
         if j > 0:
-            gpow = gpow * gamma
+            gpow = gamma * gpow
         if cj.is_zero():
             continue
-        inner = ident.scaled(cj.coeffs[-1])
+        inner = _scalar(cj.coeffs[-1])
         for coeff in reversed(cj.coeffs[:-1]):
-            inner = inner * delta + ident.scaled(coeff)
+            inner = delta * inner + _scalar(coeff)
         total = total + inner * gpow
     return total
 
@@ -278,13 +260,11 @@ def _dense_flat(theta, pp, size):
 @pytest.mark.parametrize("pp", [LG, JG])
 def test_column_action_matches_dense_products(pp):
     # two-seed Theta: the column action packed by flat_map must agree
-    # with the dense matrix products on the whole safe window
+    # with the products of the eta- and derivative columns
     theta = theta_op(pp, IndexSet(pp.family, (1,), (2,)), Poly.one())
-    imax = max(c.degree for c in theta.poly_coeffs())
-    size = imax + 6
-    flat, dense = flat_map(theta, pp, size), _dense_flat(theta, pp, size)
-    assert flat.safe == dense.safe == 5
-    assert flat.agrees_with(dense)
+    flat, product = flat_map(theta, pp), _product_flat(theta, pp)
+    for n in range(10):
+        assert flat.column(n) == product.column(n), n
 
 
 # -- recurrence coefficients from the matrix route ----------------------------
@@ -358,10 +338,9 @@ def test_jacobi_far_lower_entries_vanish():
     # single-seed Jacobi: the image bandwidth is 2, so every entry
     # three or more rows below the diagonal must cancel exactly
     theta = theta_op(JG, IndexSet("J", (1,), ()), Poly.one())
-    flat = flat_map(theta, JG, 14)
-    for n in range(flat.safe + 1):
-        for m in range(0, n - 2):
-            assert flat.entries[m][n] == 0, (m, n)
+    flat = flat_map(theta, JG)
+    for n in range(14):
+        assert min(flat.column(n)) >= n - 2, n
 
 
 # -- the bispectral normal form and the banded route --------------------------
