@@ -77,15 +77,14 @@ class ConfigError(ValueError):
 def _parse_rat(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"{flag}: zero denominator in {text!r}") from None
 
 
 def _parse_poly(text: str, flag: str) -> Poly:
-    try:
-        p = Poly([Fraction(c.strip()) for c in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+    p = Poly([_parse_rat(c.strip(), flag) for c in text.split(",")])
     if p.is_zero():
         raise ConfigError(f"{flag}: the zero polynomial is not usable here")
     return p

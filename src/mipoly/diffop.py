@@ -19,9 +19,9 @@ with the multi-indexed family P_{D,n}:
 * ``forward_op``  Fhat:  Fhat P_n = P_{D,n}.  Its coefficients come from
   expanding W[mu_1, ..., mu_M, *] along the last column -- the i-th
   coefficient is the (M+i)-signed minor over derivative rows {0..M}
-  minus {i} -- times the same compensating gauge that makes P_{D,n} a
-  polynomial.  The coefficients are guaranteed polynomials (den = 1); a
-  leftover denominator raises :class:`~mipoly.gauged.NotPolynomial`.
+  minus {i} -- each passed the compensating gauge of P_{D,n}.  They are
+  guaranteed polynomials (den = 1); a leftover denominator or gauge
+  raises :class:`~mipoly.gauged.NotPolynomial`.
 
 * ``backward_op`` Bhat:  Bhat P_{D,n} = pi_D(n) P_n.  Bhat q =
   rho_B W[m_1, ..., m_M, q] is linear in q, so it is the cofactor
@@ -80,7 +80,7 @@ from .gauged import (
 from .mindexed import (
     HALF,
     IndexSet,
-    _xi_gauge,
+    _xi_exponents,
     mj_function,
     seed_functions,
     xi_poly,
@@ -260,13 +260,13 @@ def forward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     M = D.size
     if M == 0:
         return DiffOp.identity()
-    columns, rho = seed_functions(pp, D), _xi_gauge(pp, D, HALF)
+    columns, gauge = seed_functions(pp, D), _xi_exponents(pp, D, HALF)
     coeffs = []
     for i in range(M + 1):
-        # the signed last-column cofactor of row i, times the gauge
-        minor = wronskian_rows(columns, [k for k in range(M + 1) if k != i])
-        # NotPolynomial if a gauge fails to cancel
-        coeffs.append((minor * (rho if (M + i) % 2 == 0 else -rho)).as_poly())
+        # row i's last-column cofactor; NotPolynomial if the gauge stays
+        minor = wronskian_rows(columns, [k for k in range(M + 1) if k != i],
+                               gauge).as_poly()
+        coeffs.append(minor if (M + i) % 2 == 0 else -minor)
     return DiffOp(coeffs)
 
 
@@ -301,15 +301,14 @@ def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
 
 def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
                                  q: Poly) -> RatFunc:
-    """rho_B * W[m_1, ..., m_M, q]: the unexpanded form of Bhat q."""
+    """rho_B W[m_1, ..., m_M, q], rho_B's gauge passed in: Bhat q unexpanded."""
     M = D.size
     if M == 0:
         return RatFunc(q)
     cols = [mj_function(pp, D, j) for j in range(M)] + [GaugedFn(r=q)]
-    w = wronskian_rows(cols, list(range(M + 1)))
     const, exps = _rho_backward(pp, D)
-    rho = GaugedFn(*exps, r=RatFunc(Poly.const(const), xi_poly(pp, D) ** M))
-    return (w * rho).as_ratfunc()
+    w = wronskian_rows(cols, list(range(M + 1)), exps).as_ratfunc()
+    return RatFunc(const * w.num, w.den * xi_poly(pp, D) ** M)
 
 
 @functools.lru_cache(maxsize=None)

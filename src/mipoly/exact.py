@@ -558,7 +558,6 @@ def _cross_reduce(a: Poly, b: Poly) -> tuple:
 
 
 RF_ZERO = RatFunc(Poly.zero())
-RF_ONE = RatFunc(Poly.one())
 
 
 class FrozenRecord:

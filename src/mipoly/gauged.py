@@ -11,11 +11,17 @@ gauge and maps the residual r to
     a*r + (b/eta) r - (c/(1-eta)) r + (d/(1+eta)) r + r'
 
 -- and under multiplication (gauges add, residuals multiply).  Instances
-are kept in a normal form where the integer parts of b, c, d are folded
-into the residual (by exact division by the linear base, no gcd), so b,
-c, d always lie in [0, 1); equality and hashing are then componentwise.
-Addition requires identical gauges and raises :class:`GaugeMismatch`
-otherwise.
+keep b, c, d in [0, 1), so equality and hashing are componentwise.
+Addition requires identical gauges and raises :class:`GaugeMismatch`.
+
+Gauges.  The bases eta, (1-eta)/2, (1+eta)/2 of b, c, d are one table,
+``_LINEAR``, read by ``deriv``, the ladder and the determinant's gauge.
+One fold, ``_fold``, moves the integer parts of b, c, d into a fraction
+nums/den by exact division by the linear bases (no gcd); ``GaugedFn``
+and the cofactors of ``bordered_wronskian`` both go through it.  Both
+Wronskian entry points, ``wronskian_rows`` and ``bordered_wronskian``,
+take the compensating gauge and add its exponents to the determinant's,
+so no caller multiplies a gauge on afterwards.
 
 Wronskians.  For columns f_1, ..., f_m the determinant
 
@@ -98,32 +104,35 @@ def gauge_str(exps: Sequence) -> str:
     return f"({', '.join(rat_str(e) for e in exps)})"
 
 
-_HALF_MINUS = Poly([Fraction(1, 2), Fraction(-1, 2)])  # (1-eta)/2
-_HALF_PLUS = Poly([Fraction(1, 2), Fraction(1, 2)])    # (1+eta)/2
+# The gauge bases eta, (1-eta)/2, (1+eta)/2 of the slots b, c, d, each as
+# its monic linear factor and a constant, with factor = const * base.
+_LINEAR = ((ETA, 1), (Poly([-1, 1]), -2), (Poly([1, 1]), 2))
 
 
-def _fold(base: Poly, exponent: Fraction, r: RatFunc):
-    """Split exponent = frac + int, multiply base^int into r, return (frac, r).
+def _fold(exps: Sequence, nums: Sequence[Poly], den: Poly):
+    """Fold the integer parts of exps' b, c, d into the fraction nums/den.
 
-    base is linear, so cancelling it against r is exact division by base,
-    repeated while it goes through; no gcd is needed.
+    Per slot, base^n (n the integer part) first cancels against the other
+    side -- den for n > 0, nums for n < 0 -- by exact division by the
+    linear base, while the base divides every polynomial there; whatever
+    power is left multiplies its own side.  Returns (exps, nums, den) with
+    b, c, d in [0, 1).
     """
-    n = math.floor(exponent)
-    if n:
-        # cancel base from num (n < 0) or den (n > 0) while it divides;
-        # what is left of base^|n| joins the other side
-        top, bottom = (r.num, r.den) if n < 0 else (r.den, r.num)
-        k = abs(n)
-        while k and not top.is_zero():
-            q, rem = poly_divmod(top, base)
-            if not rem.is_zero():
+    exps, nums, dens = list(exps), list(nums), [den]
+    for s, (factor, const) in enumerate(_LINEAR, 1):
+        n = math.floor(exps[s])
+        if not n:
+            continue
+        exps[s] -= n
+        own, other = (nums, dens) if n > 0 else (dens, nums)
+        base, k = factor * Fraction(1, const), abs(n)
+        while k:
+            split = [poly_divmod(p, base) for p in other]
+            if any(not rem.is_zero() for _, rem in split):
                 break
-            top, k = q, k - 1
-        bottom = bottom * base ** k
-        if n > 0:
-            top, bottom = bottom, top
-        r = RatFunc._reduced(top, bottom)
-    return exponent - n, r
+            other[:], k = [q for q, _ in split], k - 1
+        own[:] = [p * base ** k for p in own]
+    return exps, nums, dens[0]
 
 
 class GaugedFn:
@@ -136,9 +145,9 @@ class GaugedFn:
             if ra.denominator != 1:
                 raise ValueError("exponential gauge exponent must be an integer")
             a = int(ra)
-        b, r = _fold(ETA, rat(b), r)
-        c, r = _fold(_HALF_MINUS, rat(c), r)
-        d, r = _fold(_HALF_PLUS, rat(d), r)
+        (a, b, c, d), (num,), den = _fold((a, rat(b), rat(c), rat(d)),
+                                          [r.num], r.den)
+        r = RatFunc._reduced(num, den)
         if r.is_zero():
             a, b, c, d = 0, Fraction(0), Fraction(0), Fraction(0)
         object.__setattr__(self, "a", a)
@@ -202,12 +211,10 @@ class GaugedFn:
         out = r.deriv()
         if self.a:
             out = out + r * self.a
-        if self.b:
-            out = out + r * RatFunc(Poly.const(self.b), ETA)
-        if self.c:
-            out = out - r * RatFunc(Poly.const(self.c), Poly([1, -1]))
-        if self.d:
-            out = out + r * RatFunc(Poly.const(self.d), Poly([1, 1]))
+        # base^e has the log-derivative e/factor (factor monic, linear)
+        for e, (factor, _) in zip((self.b, self.c, self.d), _LINEAR):
+            if e:
+                out = out + r * RatFunc(Poly.const(e), factor)
         return GaugedFn(self.a, self.b, self.c, self.d, out)
 
     # -- extraction -----------------------------------------------------
@@ -237,11 +244,6 @@ class GaugedFn:
     def __repr__(self) -> str:
         return (f"GaugedFn(a={self.a}, b={self.b}, c={self.c}, d={self.d}, "
                 f"r={self.r!r})")
-
-
-# The monic linear factors of the gauge bases eta, (1-eta)/2, (1+eta)/2,
-# one per exponent slot b, c, d, with factor = const * base.
-_LINEAR = ((ETA, 1), (Poly([-1, 1]), -2), (Poly([1, 1]), 2))
 
 
 def _raw_gauge(f: GaugedFn) -> Tuple[tuple, Poly]:
@@ -419,8 +421,10 @@ def det_ratfunc(M: Sequence[Sequence[RatFunc]]) -> RatFunc:
     return RatFunc(det, denom)
 
 
-def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int]) -> GaugedFn:
-    """det( d^orders[i] f_j ) with one row per requested derivative order.
+def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int],
+                   gauge: Sequence = (0, 0, 0, 0)) -> GaugedFn:
+    """G det( d^orders[i] f_j ), one row per derivative order, for the
+    compensating gauge G of exponents gauge = (a, b, c, d).
 
     Needs len(orders) == len(fs).  The empty Wronskian is 1.
     """
@@ -428,18 +432,19 @@ def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int]) -> GaugedFn:
     if len(orders) != m:
         raise ValueError("need as many derivative orders as columns")
     if m == 0:
-        return GaugedFn()
+        return GaugedFn(*gauge)
     _, present, columns = numerator_ladder(fs, max(orders))
     det = det_poly([[qs[k] for _, qs in columns] for k in orders])
-    exps, scale = _det_gauge(present, [g for g, _ in columns], sum(orders))
+    exps, scale = _det_gauge(present, [g for g, _ in columns] + [gauge],
+                             sum(orders))
     return GaugedFn(*exps, r=det * scale)
 
 
 def _det_gauge(present, gauges, S: int) -> Tuple[list, Fraction]:
-    """(exponents, scale) with W = e^a eta^b ((1-eta)/2)^c ((1+eta)/2)^d
+    """(exponents, scale) with G W = e^a eta^b ((1-eta)/2)^c ((1+eta)/2)^d
     scale det for a determinant of ladder numerators of row orders summing
-    to S: the product of the column gauges over w^S, with 1/w^S moved
-    into the exponents of its gauge factors."""
+    to S: the product of the gauges (the columns' and G) over w^S, with
+    1/w^S moved into the exponents of its gauge factors."""
     exps = [sum(g[i] for g in gauges) for i in range(4)]
     scale = Fraction(1)
     for s, (_, const) in enumerate(_LINEAR):
@@ -478,13 +483,9 @@ class CofactorFunctional:
                 ints = [i * c for i, c in enumerate(ints[1:], 1)]
             if cofactor and ints:
                 acc = _ilin(acc, 1, _imul(cofactor, ints), 1)
-        r = Poly._make(acc, self.unit * p.content)
-        if self.den.degree > 0:   # lowest terms needed only over a real den
-            return GaugedFn(*self.gauge, r=RatFunc(r, self.den))
-        return GaugedFn(*self.gauge, r=RatFunc._reduced(r, self.den))
-
-
-_BASES = (ETA, _HALF_MINUS, _HALF_PLUS)   # the gauge bases of slots b, c, d
+        # RatFunc takes a gcd only over a den of positive degree
+        r = RatFunc(Poly._make(acc, self.unit * p.content), self.den)
+        return GaugedFn(*self.gauge, r=r)
 
 
 def bordered_wronskian(fs: Sequence[GaugedFn],
@@ -500,37 +501,21 @@ def bordered_wronskian(fs: Sequence[GaugedFn],
     with C_k = det [block | e_k] the cofactor of row k.  The C_k come from
     replaying the m + 1 unit columns through one Bareiss elimination of
     the seed block; the integer parts of G's exponents are folded into
-    the R_k here, once (negative ones by exact division while every R_k
-    goes through), and the elimination is dropped.  Each call then costs
-    m integer derivatives of p and one product per nonzero R_k.
+    the R_k here, once (``_fold`` over nums = R_k, den = 1), and the
+    elimination is dropped.  Each call then costs m integer derivatives
+    of p and one product per nonzero R_k.
     """
     m = len(fs)
     w, present, columns = numerator_ladder(fs, m)
     elimination = _eliminate([[qs[k] for _, qs in columns]
                               for k in range(m + 1)])
-    exps, scale = _det_gauge(present, [g for g, _ in columns],
+    exps, scale = _det_gauge(present, [g for g, _ in columns] + [gauge],
                              m * (m + 1) // 2)
-    exps = [e + x for e, x in zip(exps, gauge)]
-    num, lowered = Poly.const(scale), []
-    for s, base in enumerate(_BASES, 1):
-        n = math.floor(exps[s])
-        exps[s] -= n
-        if n > 0:
-            num = num * base ** n
-        elif n < 0:
-            lowered.append((base, -n))
     zero, one = Poly.zero(), Poly.one()
-    rs = [num * _bordered_det(elimination,
-                              [one if i == k else zero for i in range(m + 1)])
-          * w ** k for k in range(m + 1)]
-    den = one
-    for base, n in lowered:
-        while n:
-            split = [poly_divmod(r, base) for r in rs]
-            if any(not rem.is_zero() for _, rem in split):
-                break
-            rs, n = [q for q, _ in split], n - 1
-        den = den * base ** n
+    rs = [_bordered_det(elimination,
+                        [one if i == k else zero for i in range(m + 1)])
+          * scale * w ** k for k in range(m + 1)]
+    exps, rs, den = _fold(exps, rs, one)
     cofactors, unit = _to_ints(rs)
     return CofactorFunctional(exps, cofactors, unit, den)
 

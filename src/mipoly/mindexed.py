@@ -14,6 +14,9 @@ Wronskians down to honest polynomials of degrees
 
     ell(D) = sum_j d_j - M(M-1)/2 + 2 s1 s2      and      ell(D) + n.
 
+Each gauge's exponents (``_xi_exponents``) are passed into the Wronskian
+itself, so no gauged product is taken afterwards.
+
 The second Wronskian is linear in its last column, so times its gauge
 it is a cofactor functional of P_n,
 
@@ -24,8 +27,8 @@ per (point, index set), from the cofactors of the seed block's own
 Bareiss elimination (``gauged.bordered_wronskian``), and each P_{D,n}
 costs M derivatives of P_n and M + 1 polynomial products.  The
 differential operator Fhat of ``diffop`` realises the same map, but its
-coefficients come from ``wronskian_rows`` minors, so the ``verify``
-check Fhat P_n = P_{D,n} compares two independent constructions.
+coefficients come from ``wronskian_rows`` minors (passed the same gauge),
+so ``verify``'s Fhat P_n = P_{D,n} compares two independent constructions.
 
 Closed forms for the leading coefficients of Xi_D and P_{D,n}, for the
 eigenvalue factor pi_D(n) = prod_j (E_n - Etilde_{d_j}), and for the
@@ -59,7 +62,7 @@ from .families import (
     virtual_energy,
     virtual_leading,
 )
-from .gauged import GaugedFn, bordered_wronskian, wronskian
+from .gauged import GaugedFn, bordered_wronskian, wronskian_rows
 
 
 class DegenerateLeading(ValueError):
@@ -155,13 +158,9 @@ def seed_functions(pp: ParamPoint, D: IndexSet) -> List[GaugedFn]:
     return out
 
 
-def _xi_gauge(pp: ParamPoint, D: IndexSet, shift: Fraction) -> GaugedFn:
-    """Compensating gauge; shift = -1/2 for Xi_D, +1/2 for P_{D,n}."""
-    return GaugedFn(*_xi_exponents(pp, D, shift))
-
-
 def _xi_exponents(pp: ParamPoint, D: IndexSet, shift: Fraction) -> tuple:
-    """The raw exponents (a, b, c, d) of ``_xi_gauge``."""
+    """The compensating gauge's exponents (a, b, c, d); shift = -1/2 for
+    Xi_D, +1/2 for P_{D,n}."""
     s1, s2 = D.s1, D.s2
     if pp.family == "L":
         return -s1, (s1 + pp.g + shift) * s2, 0, 0
@@ -182,8 +181,8 @@ def _degree_mismatch(name: str, p: Poly, want: int | str, D: IndexSet) -> str:
 def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
     """The denominator polynomial Xi_D, of degree ell(D)."""
     _check(pp, D)
-    w = wronskian(seed_functions(pp, D))
-    xi = (w * _xi_gauge(pp, D, -HALF)).as_poly()
+    xi = wronskian_rows(seed_functions(pp, D), list(range(D.size)),
+                        _xi_exponents(pp, D, -HALF)).as_poly()
     if check_leading and xi.degree != D.ell:
         raise DegenerateLeading(_degree_mismatch("Xi", xi, f"ell = {D.ell}", D))
     return xi
@@ -273,15 +272,11 @@ def mj_function(pp: ParamPoint, D: IndexSet, j: int) -> GaugedFn:
     s1, s2 = D.s1, D.s2
     if pp.family == "L":
         if t == "I":
-            gauge = GaugedFn(b=-(s1 - s2 + pp.g - HALF))
-        else:
-            gauge = GaugedFn(a=1)
-    else:
-        if t == "I":
-            gauge = GaugedFn(c=-(s1 - s2 + pp.g - HALF))
-        else:
-            gauge = GaugedFn(d=-(s2 - s1 + pp.h - HALF))
-    return gauge * sub
+            return GaugedFn(b=-(s1 - s2 + pp.g - HALF), r=sub)
+        return GaugedFn(a=1, r=sub)
+    if t == "I":
+        return GaugedFn(c=-(s1 - s2 + pp.g - HALF), r=sub)
+    return GaugedFn(d=-(s2 - s1 + pp.h - HALF), r=sub)
 
 
 def plusdelta_constant(pp: ParamPoint, D: IndexSet) -> Fraction:

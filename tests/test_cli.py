@@ -24,6 +24,7 @@ from mipoly.checks import show
 from mipoly.cli import main
 from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
+from mipoly.gauged import GaugedFn
 from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
 from mipoly.recurrence import recurrence_direct, theta_op
 
@@ -146,12 +147,22 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
     ["-h", "--bogus"],
     ["--nmax", "2"],
     [],
+    _L_PAIR + ["--g", "1/0"],
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+     "--y", "1,1/0"],
 ])
 def test_unusable_command_lines_exit_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("mipoly: ") and err.count("\n") == 1
+
+
+def test_zero_denominator_names_its_input(capsys):
+    # not the Fraction(1, 0) repr, which hides what was typed
+    assert main(_L_PAIR + ["--g", "1/0"]) == 2
+    assert capsys.readouterr().err == \
+        "mipoly: --g: zero denominator in '1/0'\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["construct", "-h"],
@@ -431,6 +442,37 @@ def test_construct_does_not_read_fhat(capsys, monkeypatch):
         assert capsys.readouterr().out == want
     finally:
         _clear_member_caches()
+
+
+def _clear_library_caches():
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mipoly"):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "J", "--g", "7/3", "--h", "9/4",
+     "--indices", "1I,3I,2II", "--nmax", "3"],
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I,3I,2II",
+     "--nmax", "1"],
+    ["verify", "--suite", "diffop", "--samples", "1", "--nmax", "1"],
+])
+def test_constructions_take_no_gauged_products(capsys, monkeypatch, argv):
+    # every compensating gauge is passed into its Wronskian; GaugedFn
+    # arithmetic is left to the Leibniz oracle of test_gauged
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("GaugedFn arithmetic on a construction path")
+
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(GaugedFn, name, forbidden)
+    _clear_library_caches()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_verify_diffop_catches_a_corrupted_cofactor(capsys):

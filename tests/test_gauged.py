@@ -160,6 +160,12 @@ def test_normal_form_folds_integer_exponents():
     h = GaugedFn(d=2)
     assert h.is_gaugeless()
     assert h.as_poly() == Poly([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
+    # ((1-eta)/2)^(-1) cancels against the numerator 1 - eta
+    assert GaugedFn(c=-1, r=Poly([1, -1])) == GaugedFn(r=Poly.const(2))
+    # ((1+eta)/2)^(-2) cancels once against 1 + eta; a denominator is left
+    k = GaugedFn(d=Fraction(-3, 2), r=Poly([1, 1]))
+    assert k.d == Fraction(1, 2)
+    assert k.r == RatFunc(Poly.const(4), Poly([1, 1]))
 
 
 def test_gauge_mismatch_raises():
@@ -319,6 +325,12 @@ def test_wronskian_rows_matches_oracle(fs, data):
                                 min_size=len(fs), max_size=len(fs),
                                 unique=True))
     assert wronskian_rows(fs, orders) == wronskian_oracle(fs, orders)
+    # a compensating gauge passed in is the oracle times that gauge
+    gauge = data.draw(st.tuples(st.integers(min_value=-1, max_value=1),
+                                small_rationals, small_rationals,
+                                small_rationals))
+    assert wronskian_rows(fs, orders, gauge) \
+        == wronskian_oracle(fs, orders) * GaugedFn(*gauge)
 
 
 @given(st.lists(gauged_fns(), min_size=2, max_size=3))

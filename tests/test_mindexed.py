@@ -32,7 +32,7 @@ from mipoly.mindexed import (
     seed_functions,
     xi_leading,
     xi_poly,
-    _xi_gauge,
+    _xi_exponents,
 )
 
 F = Fraction
@@ -274,4 +274,4 @@ def _check_against_full_wronskian(pp, D, check_leading):
     for n in range(41):
         w = wronskian(seeds + [GaugedFn(r=classical_poly(pp, n))])
         assert mi_poly(pp, D, n, check_leading=check_leading) \
-            == (w * _xi_gauge(pp, D, HALF)).as_poly(), n
+            == (w * GaugedFn(*_xi_exponents(pp, D, HALF))).as_poly(), n
