@@ -221,7 +221,7 @@ def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
 
 def cmd_recurrence(args) -> Tuple[dict, int]:
     # the operator layers load here, so that construct never pays for them
-    from .recurrence import (expand_in_deformed, recurrence_from_theta,
+    from .recurrence import (recurrence_from_theta, recurrence_from_x,
                              recurrence_order, theta_from_x, x_from_y)
     pp, D = _parse_point_and_set(args)
     checks: Report = []
@@ -240,9 +240,7 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
                                 "conjugated operator is polynomial"))
             L, detail = X.degree, "direct and operator routes"
             routes = [
-                ("direct", lambda n: {
-                    m - n: c for m, c in expand_in_deformed(
-                        pp, D, X * mi_poly(pp, D, n)).items()}),
+                ("direct", functools.partial(recurrence_from_x, pp, D, X)),
                 ("operator", functools.partial(recurrence_from_theta,
                                                pp, D, theta))]
         else:
@@ -475,8 +473,17 @@ def _latex_poly(coeffs: List[str], var: str = "\\eta") -> str:
 
 
 def _latex_render(doc: dict) -> str:
+    """verify's suite table, or the formulas a construct or recurrence
+    run got to, then one "% FAIL" comment per failing check."""
     cfg, res = doc["config"], doc["results"]
     lines = [f"% mipoly {cfg['command']} v{doc['version']}"]
+    if cfg["command"] == "verify":
+        lines.append("\\begin{tabular}{lrr}")
+        lines.append("suite & pass & fail \\\\")
+        for name, counts in res["suites"].items():
+            lines.append(f"{name} & {counts['pass']} & {counts['fail']} \\\\")
+        lines.append("\\end{tabular}")
+        return "\n".join(lines)
     if cfg["command"] == "construct" and "xi" in res:
         lines.append("\\begin{align*}")
         lines.append(f"  \\Xi(\\eta) &= {_latex_poly(res['xi'])} \\\\")
@@ -494,12 +501,8 @@ def _latex_render(doc: dict) -> str:
                 for k, v in row["coeffs"])
             lines.append(f"  & {body} \\\\")
         lines.append("\\end{align*}")
-    else:
-        lines.append("\\begin{tabular}{lrr}")
-        lines.append("suite & pass & fail \\\\")
-        for name, counts in res.get("suites", {}).items():
-            lines.append(f"{name} & {counts['pass']} & {counts['fail']} \\\\")
-        lines.append("\\end{tabular}")
+    lines += [f"% FAIL {check['name']} -- {check['detail']}"
+              for check in doc["checks"] if check["status"] == "fail"]
     return "\n".join(lines)
 
 

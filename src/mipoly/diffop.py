@@ -5,13 +5,13 @@ common denominator,
 
     (1/den) sum_i nums[i](eta) d^i,
 
-stored as polynomial numerators over a monic den in lowest terms (no
-factor of den divides every numerator), so equal operators have equal
-fields.  Application, composition (Leibniz on the numerators, with a
+built from polynomial numerators over one den and kept in lowest terms,
+den monic, so equal operators have equal fields and the coefficients
+are all polynomials iff den is constant (how Theta's admissibility is
+read).  Application, composition (Leibniz on the numerators, with a
 quotient-rule ladder for the derivatives of the right operand's
-coefficients), sums and left multiplication work on the numerators and
-normalize once, at the end.  ``coeffs`` and ``coeff(i)`` give the reduced
-coefficients nums[i]/den as rational functions.
+coefficients), sums and left multiplication by a polynomial normalize
+once, at the end.  ``coeffs`` gives the reduced nums[i]/den.
 
 The two Wronskian-built operators intertwine the classical family P_n
 with the multi-indexed family P_{D,n}:
@@ -91,9 +91,6 @@ class DenominatorEscape(ValueError):
     """Bhat's cofactors leave a power of a gauge base over Xi^M."""
 
 
-CoeffLike = Union[RatFunc, Poly, int, str, Fraction]
-
-
 def _lowest(nums: List[Poly], den: Poly) -> Tuple[Tuple[Poly, ...], Poly]:
     """Drop trailing zeros, cancel the factor den shares with every
     numerator, and make den monic."""
@@ -132,23 +129,18 @@ def _quotient_ladder(b: Poly, t: Poly, m: int) -> List[Poly]:
 class DiffOp:
     """(1/den) sum_i nums[i] d^i/deta^i in lowest terms, den monic.
 
-    Built from a list of coefficients (RatFunc, Poly or scalars), over an
-    optional extra denominator: DiffOp(coeffs, den) is
-    sum_i (coeffs[i] / den) d^i.
+    DiffOp(nums, den) is (1/den) sum_i nums[i] d^i for polynomial
+    numerators (an int or Fraction is a constant) over one denominator.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Sequence[CoeffLike] = (), den: Poly = ONE):
-        rs = [RatFunc.of(c) for c in coeffs]
-        common = Poly.one()
-        for r in rs:
-            if not poly_divmod(common, r.den)[1].is_zero():
-                common = common * r.den
-        nums = [r.num * poly_divmod(common, r.den)[0] for r in rs]
-        nums, common = _lowest(nums, common * den)
+    def __init__(self, nums: Sequence[Union[Poly, int, Fraction]] = (),
+                 den: Poly = ONE):
+        nums, den = _lowest([n if isinstance(n, Poly) else Poly.const(n)
+                             for n in nums], den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", common)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def identity() -> "DiffOp":
@@ -169,11 +161,6 @@ class DiffOp:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coeff(self, i: int) -> RatFunc:
-        if 0 <= i < len(self.nums):
-            return RatFunc(self.nums[i], self.den)
-        return RatFunc(Poly.zero())
 
     def apply(self, q: Poly) -> RatFunc:
         total = Poly.zero()
@@ -198,10 +185,9 @@ class DiffOp:
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
 
-    def left_mul(self, f: CoeffLike) -> "DiffOp":
-        """The operator q |-> f * (self q)."""
-        g = RatFunc.of(f)
-        return DiffOp([g.num * n for n in self.nums], self.den * g.den)
+    def left_mul(self, f: Poly) -> "DiffOp":
+        """The operator q |-> f * (self q) for a polynomial f."""
+        return DiffOp([f * n for n in self.nums], self.den)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """self o other: (self.compose(other))(q) = self(other(q)).

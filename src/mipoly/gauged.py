@@ -156,10 +156,6 @@ class GaugedFn:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "r", r)
 
-    @staticmethod
-    def from_poly(p: Poly) -> "GaugedFn":
-        return GaugedFn(r=RatFunc(p))
-
     def gauge(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
@@ -535,7 +531,7 @@ def _random_poly(rng: random.Random, max_degree: int,
 
 def poly_wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian of plain polynomials (gaugeless columns)."""
-    return wronskian([GaugedFn.from_poly(f) for f in fs]).as_poly()
+    return wronskian([GaugedFn(r=f) for f in fs]).as_poly()
 
 
 def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:

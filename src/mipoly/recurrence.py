@@ -12,9 +12,9 @@ with coefficients r_{n,k} that do not depend on eta.  Two of the three
 independent routes to the r_{n,k} live here:
 
 * the *direct* route expands X P_{D,n} in the basis {P_{D,m}} by leading
-  coefficient elimination (``recurrence_direct``).  A nonzero residue
-  after eliminating down to degree ell signals that the input was not in
-  the span and raises :class:`NonzeroRemainder`;
+  coefficient elimination (``recurrence_from_x``, ``recurrence_direct``
+  for the X of Y).  A nonzero residue after eliminating down to degree
+  ell signals that the input was not in the span: :class:`NonzeroRemainder`;
 
 * the *operator* route conjugates back to the classical family:
   Theta = Bhat o X o Fhat has polynomial coefficients exactly when X is
@@ -97,14 +97,15 @@ def in_deformed_span(pp: ParamPoint, D: IndexSet, q: Poly) -> bool:
 
 
 def theta_from_x(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
-    """Theta = Bhat o X o Fhat, demanding polynomial coefficients."""
+    """Theta = Bhat o X o Fhat, demanding a constant lowest-terms
+    denominator; only a failure reads the coefficients, to name one."""
     op = backward_op(pp, D).compose(forward_op(pp, D).left_mul(X))
-    for i, c in enumerate(op.coeffs):
-        if not c.is_polynomial():
-            raise NotPolynomial(
-                f"coefficient of d^{i} has denominator {c.den!r}; "
-                f"X is not admissible for {D.label()}")
-    return op
+    if op.is_polynomial():
+        return op
+    i, c = next((i, c) for i, c in enumerate(op.coeffs)
+                if not c.is_polynomial())
+    raise NotPolynomial(f"coefficient of d^{i} has denominator {c.den!r}; "
+                        f"X is not admissible for {D.label()}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,12 +189,17 @@ def _solve_exact(A: List[List[Fraction]], b: List[Fraction]):
     return sol
 
 
-def recurrence_direct(pp: ParamPoint, D: IndexSet, Y: Poly,
+def recurrence_from_x(pp: ParamPoint, D: IndexSet, X: Poly,
                       n: int) -> Dict[int, Fraction]:
     """r_{n,k} by expanding X P_{D,n} in the deformed basis."""
-    X = x_from_y(pp, D, Y)
     expansion = expand_in_deformed(pp, D, X * mi_poly(pp, D, n))
     return {m - n: c for m, c in expansion.items()}
+
+
+def recurrence_direct(pp: ParamPoint, D: IndexSet, Y: Poly,
+                      n: int) -> Dict[int, Fraction]:
+    """The direct route for the X built from the seed polynomial Y."""
+    return recurrence_from_x(pp, D, x_from_y(pp, D, Y), n)
 
 
 def recurrence_via_theta(pp: ParamPoint, D: IndexSet, Y: Poly,

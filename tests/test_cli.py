@@ -602,6 +602,29 @@ def test_latex_fragment(capsys, tmp_path):
     assert "r_{0,0} = \\tfrac{125}{8}" in text
 
 
+@pytest.mark.parametrize("argv,comment", [
+    (["construct", "--family", "J", "--g", "7/3", "--h", "4/3",
+      "--indices", "1II"],
+     "% FAIL genericity -- seed 1II at its twisted point J g=-4/3 h=4/3: "
+     "A_0 denominator vanishes"),
+    (["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+      "--raw-X", "0,1"],
+     "% FAIL x_admissible -- NotPolynomial: coefficient of d^0 has "
+     "denominator Poly(17/6 + 1*eta); X is not admissible for 1I"),
+], ids=["construct", "recurrence"])
+def test_latex_of_a_failed_run_names_its_failures(capsys, tmp_path, argv,
+                                                  comment):
+    # no members or rows to typeset: the failing checks, not an empty
+    # verify table, in both the printed and the written fragment
+    target = tmp_path / "fragment.tex"
+    code = main(argv + ["--format", "latex", "--latex", str(target)])
+    out = capsys.readouterr().out
+    assert code == 1
+    want = f"% mipoly {argv[0]} v{mipoly.__version__}\n{comment}\n"
+    assert out == want
+    assert target.read_text() == want
+
+
 def test_text_format(capsys):
     code = main(["construct", "--family", "L", "--g", "7/3",
                  "--indices", "1I", "--format", "text", "--nmax", "1"])

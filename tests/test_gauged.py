@@ -293,7 +293,7 @@ def test_bordered_wronskian_is_wronskian_times_gauge(fs, ps, gauge):
     # one elimination of the f_j, replayed for several plain last columns
     bordered = bordered_wronskian(fs, gauge)
     for p in ps:
-        want = wronskian_oracle(fs + [GaugedFn.from_poly(p)],
+        want = wronskian_oracle(fs + [GaugedFn(r=p)],
                                 list(range(len(fs) + 1))) * GaugedFn(*gauge)
         assert bordered(p) == want
 

@@ -10,6 +10,7 @@ fail loudly (NotPolynomial from the operator route, NonzeroRemainder from
 the direct route).
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,9 +223,34 @@ def test_inadmissible_x_raises_not_polynomial():
     D = IndexSet("L", (1,), ())
     with pytest.raises(NotPolynomial):
         theta_from_x(LG, D, ETA)
+    # the first coefficient left with a denominator is named, reduced
     DJ = IndexSet("J", (1,), (2,))
-    with pytest.raises(NotPolynomial):
+    with pytest.raises(NotPolynomial) as info:
         theta_from_x(JG, DJ, Poly([0, 0, 1]))
+    assert str(info.value) == (
+        "coefficient of d^0 has denominator Poly(63218401/67650625 + "
+        "-702932008/67650625*eta + 514586252/13530125*eta^2 + "
+        "-3421870168/67650625*eta^3 + 1277684902/67650625*eta^4 + "
+        "117268568/9664375*eta^5 + -91259612/9664375*eta^6 + "
+        "-344/1175*eta^7 + 1*eta^8); X is not admissible for 1I,2II")
+
+
+@pytest.mark.parametrize("pp,label", [(LG, "1I,3I,2II"), (JG, "1I,2II")],
+                         ids=["L:1I,3I,2II", "J:1I,2II"])
+def test_admissible_theta_reads_no_coefficient(pp, label, monkeypatch):
+    # admissibility is read off Theta's lowest-terms denominator: an
+    # admissible X never builds the rational coefficients
+    def forbidden(self):
+        raise AssertionError("an admissible Theta must not read coeffs")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mipoly"):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    monkeypatch.setattr(DiffOp, "coeffs", property(forbidden))
+    theta = theta_op(pp, IndexSet.parse(pp.family, label), Poly.one())
+    assert theta.is_polynomial() and theta.order > 0
 
 
 def test_inadmissible_product_leaves_remainder():
