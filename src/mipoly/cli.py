@@ -202,13 +202,19 @@ def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
 
     A route after the first that finds no normal form for Theta yields
     its failure message as its row, so the check fails with it as the
-    witness.
+    witness.  A residue in the first route's expansion ends the rows at
+    that n, and the check fails naming the route, n and the residue.
     """
+    from .recurrence import NonzeroRemainder
     from .shiftalg import DecompositionFailure
-    (_, first), *others = routes
+    (first_route, first), *others = routes
     rows, cases = [], []
     for n in range(nmax + 1):
-        row = first(n)
+        try:
+            row = first(n)
+        except NonzeroRemainder as exc:
+            return rows, Check(name, False, f"{detail}; fails at n={n}, "
+                               f"{first_route} route: NonzeroRemainder: {exc}")
         rows.append(row)
         for route, at in others:
             try:

@@ -8,10 +8,12 @@ common denominator,
 built from polynomial numerators over one den and kept in lowest terms,
 den monic, so equal operators have equal fields and the coefficients
 are all polynomials iff den is constant (how Theta's admissibility is
-read).  Application, composition (Leibniz on the numerators, with a
-quotient-rule ladder for the derivatives of the right operand's
-coefficients), sums and left multiplication by a polynomial normalize
-once, at the end.  ``coeffs`` gives the reduced nums[i]/den.
+read).  Application (``exact._apply_nums`` over den, as for each
+P_{D,n}), composition (Leibniz on the numerators, with a quotient-rule
+ladder for the derivatives of the right operand's coefficients), sums
+and left multiplication by a polynomial normalize once, at the end, by
+the lowest-terms step RatFunc shares (``exact._lowest``).  ``coeffs``
+gives the reduced nums[i]/den.
 
 The two Wronskian-built operators intertwine the classical family P_n
 with the multi-indexed family P_{D,n}:
@@ -23,15 +25,13 @@ with the multi-indexed family P_{D,n}:
   guaranteed polynomials (den = 1); a leftover denominator or gauge
   raises :class:`~mipoly.gauged.NotPolynomial`.
 
-* ``backward_op`` Bhat:  Bhat P_{D,n} = pi_D(n) P_n.  Bhat q =
-  rho_B W[m_1, ..., m_M, q] is linear in q, so it is the cofactor
-  functional of the dual seeds m_j (``gauged.bordered_wronskian``, which
-  builds each P_{D,n} too) with rho_B's gauge folded in: its R_k times
-  rho_B's constant are the numerators over Xi_D^M.  A fractional gauge
-  left over raises :class:`~mipoly.gauged.NotPolynomial`, a power of a
-  gauge base left below Xi^M :class:`DenominatorEscape`.  Theta =
-  Bhat o X o Fhat is composed over Xi^M with no gcd before the final
-  lowest-terms step.
+* ``backward_op`` Bhat:  Bhat q = rho_B W[m_1, ..., m_M, q] =
+  pi_D(n) P_n for q = P_{D,n}.  Its numerators over Xi_D^M are rho_B's
+  constant times those of the dual seeds' ``gauged.bordered_wronskian``,
+  passed rho_B's gauge.  A fractional gauge left over raises
+  :class:`~mipoly.gauged.NotPolynomial`, a power of a gauge base left
+  below Xi^M :class:`DenominatorEscape`.  Theta = Bhat o X o Fhat is
+  composed over Xi^M with no gcd before the final lowest-terms step.
 
 ``htilde_op`` is the gauged Hamiltonian with H P_{D,n} = E_n P_{D,n},
 with numerators over Xi:
@@ -59,9 +59,9 @@ from .exact import (
     ParamPoint,
     Poly,
     RatFunc,
+    _apply_nums,
+    _lowest,
     differentiate,
-    poly_divmod,
-    poly_gcd,
 )
 from .families import (
     c_factor,
@@ -89,29 +89,6 @@ from .mindexed import (
 
 class DenominatorEscape(ValueError):
     """Bhat's cofactors leave a power of a gauge base over Xi^M."""
-
-
-def _lowest(nums: List[Poly], den: Poly) -> Tuple[Tuple[Poly, ...], Poly]:
-    """Drop trailing zeros, cancel the factor den shares with every
-    numerator, and make den monic."""
-    while nums and nums[-1].is_zero():
-        nums.pop()
-    if not nums:
-        return (), Poly.one()
-    g = den
-    for n in nums:
-        if g.degree <= 0:
-            break
-        if not poly_divmod(n, g)[1].is_zero():
-            g = poly_gcd(g, n)
-    if g.degree > 0:
-        nums = [poly_divmod(n, g)[0] for n in nums]
-        den = poly_divmod(den, g)[0]
-    inv = 1 / den.lc()
-    if inv != 1:
-        nums = [n * inv for n in nums]
-        den = den * inv
-    return tuple(nums), den
 
 
 def _quotient_ladder(b: Poly, t: Poly, m: int) -> List[Poly]:
@@ -163,12 +140,7 @@ class DiffOp:
         return not self.nums
 
     def apply(self, q: Poly) -> RatFunc:
-        total = Poly.zero()
-        for n in self.nums:
-            if not n.is_zero():
-                total = total + n * q
-            q = differentiate(q)
-        return RatFunc(total, self.den)
+        return RatFunc(_apply_nums(self.nums, q), self.den)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         a, b, den = self.nums, other.nums, self.den
@@ -274,15 +246,14 @@ def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     if M == 0:
         return DiffOp.identity()
     const, exps = _rho_backward(pp, D)
-    cof = bordered_wronskian([mj_function(pp, D, j) for j in range(M)], exps)
-    if any(cof.gauge):
-        raise NotPolynomial(
-            f"gauge {gauge_str(cof.gauge)} does not reduce away")
-    if cof.den.degree > 0:
-        raise DenominatorEscape(f"denominator {cof.den!r} is left over "
+    exps, nums, den = bordered_wronskian(
+        [mj_function(pp, D, j) for j in range(M)], exps)
+    if any(exps):
+        raise NotPolynomial(f"gauge {gauge_str(exps)} does not reduce away")
+    if den.degree > 0:
+        raise DenominatorEscape(f"denominator {den!r} is left over "
                                 f"Xi^{M} for {D.label()}")
-    return DiffOp([Poly._make(c, const * cof.unit) for c in cof.cofactors],
-                  xi_poly(pp, D) ** M)
+    return DiffOp([const * n for n in nums], xi_poly(pp, D) ** M)
 
 
 def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,

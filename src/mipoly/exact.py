@@ -19,7 +19,8 @@ the scalar type of every public value.  On top of it sit
   never ``-1``), so degree bookkeeping in the Wronskian/recurrence layers
   stays honest.
 * :class:`RatFunc` -- a quotient of two Polys kept in normal form:
-  gcd(num, den) = 1 and den monic.  Closed under +, -, *, / and d/d eta.
+  gcd(num, den) = 1 and den monic, by ``_lowest``, as a DiffOp's
+  numerators are.  Closed under +, -, *, / and d/d eta.
   The Wronskian and operator layers keep polynomial numerators over
   explicit denominators and build a RatFunc only for a result, so
   RatFunc arithmetic mostly serves the gauged calculus and the test
@@ -36,8 +37,10 @@ Module-level helpers provide the calculus bits used everywhere downstream:
 ``poly_divmod``/``poly_gcd`` (division with remainder over Z, exact
 whenever the quotient has integer coefficients; monic gcd by a primitive
 remainder sequence) and the Pochhammer symbol ``(x)_n``.  The private
-``_imul``/``_ilin``/``_idivmod`` work on bare integer coefficient lists;
-the Bareiss determinant in ``gauged`` uses them directly.
+``_imul``/``_ilin``/``_idivmod``/``_to_ints`` work on bare integer
+coefficient lists; the Bareiss determinant in ``gauged`` uses them
+directly, and ``_apply_nums`` (sum_i nums[i] q^(i)) is the one
+application of polynomial numerators, for P_{D,n} and for DiffOp.
 """
 
 from __future__ import annotations
@@ -349,6 +352,33 @@ def _combine(p: Poly, other: Poly, sign: int) -> Poly:
                       Fraction(g, den))
 
 
+def _to_ints(polys: Sequence[Poly]) -> Tuple[list, Fraction]:
+    """Integer coefficient lists A and one unit u with polys[i] = u A[i].
+
+    u is the gcd of the numerators over the lcm of the denominators of
+    the contents (1 when every poly is zero).
+    """
+    contents = [p.content for p in polys if p.ints] or [Fraction(1)]
+    g = math.gcd(*(c.numerator for c in contents))
+    den = math.lcm(*(c.denominator for c in contents))
+    return [[p.content.numerator // g * (den // p.content.denominator) * x
+             for x in p.ints] for p in polys], Fraction(g, den)
+
+
+def _apply_nums(nums: Sequence[Poly], q: Poly) -> Poly:
+    """sum_i nums[i] q^(i), over Z: the nums up to deg q as integer lists
+    over one unit (``_to_ints``), q's derivatives taken on its integer
+    part, and one content for the sum, with no gcd per term."""
+    lists, unit = _to_ints(nums[:len(q.ints)])
+    ints, acc = list(q.ints), []
+    for i, num in enumerate(lists):
+        if i:   # ints is now the i-th derivative of q's integer part
+            ints = [k * c for k, c in enumerate(ints[1:], 1)]
+        if num:
+            acc = _ilin(acc, 1, _imul(num, ints), 1)
+    return Poly._make(acc, unit * q.content)
+
+
 def differentiate(p: Poly) -> Poly:
     """d/d eta, coefficient-wise."""
     return Poly._make([k * c for k, c in enumerate(p.ints[1:], 1)], p.content)
@@ -404,6 +434,30 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return q.monic()
 
 
+def _lowest(nums: list, den: Poly) -> Tuple[Tuple[Poly, ...], Poly]:
+    """nums/den in lowest terms: trailing zeros dropped, the factor den
+    shares with every numerator cancelled (no gcd while den divides them)
+    and den monic; all numerators zero give ((), 1)."""
+    while nums and nums[-1].is_zero():
+        nums.pop()
+    if not nums:
+        return (), ONE
+    g = den
+    for n in nums:
+        if g.degree <= 0:
+            break
+        if not poly_divmod(n, g)[1].is_zero():
+            g = poly_gcd(g, n)
+    if g.degree > 0:
+        nums = [poly_divmod(n, g)[0] for n in nums]
+        den = poly_divmod(den, g)[0]
+    inv = 1 / den.lc()
+    if inv != 1:
+        nums = [n * inv for n in nums]
+        den = den * inv
+    return tuple(nums), den
+
+
 def pochhammer(x: ScalarLike, n: int) -> Fraction:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1.
 
@@ -430,18 +484,8 @@ class RatFunc:
             den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
-        else:
-            if den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, _ = poly_divmod(num, g)
-                    den, _ = poly_divmod(den, g)
-            lc = den.lc()
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+        nums, den = _lowest([num], den)
+        num = nums[0] if nums else ZERO
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

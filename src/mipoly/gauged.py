@@ -53,12 +53,10 @@ ladder q_k = w^k p^(k), and the determinant is linear in that column, so
     G W[f_1, ..., f_m, p] = sum_k R_k p^(k),   R_k = G scale C_k w^k,
 
 with C_k = det [block | e_k] the cofactor of row k.
-``bordered_wronskian`` replays the m + 1 unit columns once, folds the
-gauge G into the R_k once and keeps the result as a
-:class:`CofactorFunctional`; applying it to p takes m integer
-derivatives and one product per nonzero R_k.  That is how each P_{D,n}
-is built in ``mindexed``, and, from the dual seeds, the backward
-operator Bhat in ``diffop``.
+``bordered_wronskian`` replays the m + 1 unit columns once, folds G into
+the R_k and returns them as polynomial numerators over one den, with the
+gauge left over.  From the seeds they give each P_{D,n} in ``mindexed``,
+from the dual seeds the backward operator Bhat in ``diffop``.
 
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
@@ -83,6 +81,7 @@ from .exact import (
     _idivmod,
     _ilin,
     _imul,
+    _to_ints,
     differentiate,
     poly_divmod,
     poly_lcm,
@@ -299,19 +298,6 @@ def _ladder(p: Poly, E: Poly, w: Poly, kmax: int) -> list:
     return qs
 
 
-def _to_ints(polys: Sequence[Poly]) -> Tuple[list, Fraction]:
-    """Integer coefficient lists A and one unit u with polys[i] = u A[i].
-
-    u is the gcd of the numerators over the lcm of the denominators of
-    the contents (1 when every poly is zero).
-    """
-    contents = [p.content for p in polys if p.ints] or [Fraction(1)]
-    g = math.gcd(*(c.numerator for c in contents))
-    den = math.lcm(*(c.denominator for c in contents))
-    return [[p.content.numerator // g * (den // p.content.denominator) * x
-             for x in p.ints] for p in polys], Fraction(g, den)
-
-
 def _eliminate(block: Sequence[Sequence[Poly]]):
     """Fraction-free Bareiss over Z on an m x (m-1) polynomial block.
 
@@ -455,38 +441,8 @@ def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
     return wronskian_rows(fs, list(range(len(fs))))
 
 
-class CofactorFunctional:
-    """p |-> G W[f_1, ..., f_m, p] = gauge * sum_k R_k p^(k) / den.
-
-    The R_k are stored as integer coefficient lists ``cofactors`` times one
-    rational ``unit``; ``den`` is the polynomial left over from negative
-    integer gauge exponents that do not divide every R_k (1 whenever the
-    result is a polynomial), and ``gauge`` holds the remaining exponents
-    in GaugedFn normal form.  Built by ``bordered_wronskian``.
-    """
-
-    __slots__ = ("gauge", "cofactors", "unit", "den")
-
-    def __init__(self, gauge: Sequence, cofactors: list, unit: Fraction,
-                 den: Poly):
-        self.gauge, self.cofactors, self.unit, self.den = \
-            gauge, cofactors, unit, den
-
-    def __call__(self, p: Poly) -> GaugedFn:
-        ints, acc = list(p.ints), []
-        for k, cofactor in enumerate(self.cofactors):
-            if k:   # ints is now the k-th derivative of p's integer part
-                ints = [i * c for i, c in enumerate(ints[1:], 1)]
-            if cofactor and ints:
-                acc = _ilin(acc, 1, _imul(cofactor, ints), 1)
-        # RatFunc takes a gcd only over a den of positive degree
-        r = RatFunc(Poly._make(acc, self.unit * p.content), self.den)
-        return GaugedFn(*self.gauge, r=r)
-
-
-def bordered_wronskian(fs: Sequence[GaugedFn],
-                       gauge: Sequence) -> CofactorFunctional:
-    """The map p |-> G W[f_1, ..., f_m, p] on plain polynomials p.
+def bordered_wronskian(fs: Sequence[GaugedFn], gauge: Sequence):
+    """p |-> G W[f_1, ..., f_m, p] on plain polynomials p, as numerators.
 
     G = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d for gauge = (a, b, c, d).
     A plain p carries no gauge (E = 0), so its ladder is q_k = w^k p^(k),
@@ -496,10 +452,10 @@ def bordered_wronskian(fs: Sequence[GaugedFn],
 
     with C_k = det [block | e_k] the cofactor of row k.  The C_k come from
     replaying the m + 1 unit columns through one Bareiss elimination of
-    the seed block; the integer parts of G's exponents are folded into
-    the R_k here, once (``_fold`` over nums = R_k, den = 1), and the
-    elimination is dropped.  Each call then costs m integer derivatives
-    of p and one product per nonzero R_k.
+    the block, and the integer parts of G's exponents are folded into the
+    R_k (``_fold`` over nums = R_k, den = 1).  Returns (exps, nums, den):
+    G W[f_1, ..., f_m, p] = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d
+    sum_k nums[k] p^(k) / den for exps = (a, b, c, d) the gauge left over.
     """
     m = len(fs)
     w, present, columns = numerator_ladder(fs, m)
@@ -511,9 +467,7 @@ def bordered_wronskian(fs: Sequence[GaugedFn],
     rs = [_bordered_det(elimination,
                         [one if i == k else zero for i in range(m + 1)])
           * scale * w ** k for k in range(m + 1)]
-    exps, rs, den = _fold(exps, rs, one)
-    cofactors, unit = _to_ints(rs)
-    return CofactorFunctional(exps, cofactors, unit, den)
+    return _fold(exps, rs, one)
 
 
 # -- seeded identity suite ---------------------------------------------------

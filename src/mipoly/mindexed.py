@@ -18,17 +18,16 @@ Each gauge's exponents (``_xi_exponents``) are passed into the Wronskian
 itself, so no gauged product is taken afterwards.
 
 The second Wronskian is linear in its last column, so times its gauge
-it is a cofactor functional of P_n,
 
     P_{D,n} = sum_{k=0}^{M} R_k(eta) P_n^(k),
 
-with polynomial R_k that depend on the seeds alone.  They are built once
-per (point, index set), from the cofactors of the seed block's own
-Bareiss elimination (``gauged.bordered_wronskian``), and each P_{D,n}
-costs M derivatives of P_n and M + 1 polynomial products.  The
-differential operator Fhat of ``diffop`` realises the same map, but its
-coefficients come from ``wronskian_rows`` minors (passed the same gauge),
-so ``verify``'s Fhat P_n = P_{D,n} compares two independent constructions.
+with polynomial R_k that depend on the seeds alone: the numerators of
+``gauged.bordered_wronskian``, built once per (point, index set).  Each
+P_{D,n} is then one ``exact._apply_nums``, M integer derivatives of P_n
+and M + 1 products.  The differential operator Fhat of ``diffop``
+realises the same map, but its coefficients come from ``wronskian_rows``
+minors (passed the same gauge), so ``verify``'s Fhat P_n = P_{D,n}
+compares two independent constructions.
 
 Closed forms for the leading coefficients of Xi_D and P_{D,n}, for the
 eigenvalue factor pi_D(n) = prod_j (E_n - Etilde_{d_j}), and for the
@@ -51,7 +50,7 @@ import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exact import FrozenRecord, ParamPoint, Poly
+from .exact import FrozenRecord, ParamPoint, Poly, _apply_nums
 from .families import (
     GenericityViolation,
     classical_poly,
@@ -62,7 +61,8 @@ from .families import (
     virtual_energy,
     virtual_leading,
 )
-from .gauged import GaugedFn, bordered_wronskian, wronskian_rows
+from .gauged import (GaugedFn, NotPolynomial, bordered_wronskian, gauge_str,
+                     wronskian_rows)
 
 
 class DegenerateLeading(ValueError):
@@ -189,14 +189,19 @@ def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
 
 
 @functools.lru_cache(maxsize=None)
-def _seed_wronskian(pp: ParamPoint, D: IndexSet):
-    """p |-> W[mu_1, ..., mu_M, p] times the P_{D,n} gauge.
+def _seed_wronskian(pp: ParamPoint, D: IndexSet) -> Tuple[Poly, ...]:
+    """The polynomial R_k with W[mu_1, ..., mu_M, p] times the P_{D,n}
+    gauge = sum_k R_k p^(k), built once per (point, index set).
 
-    The cofactor functional sum_k R_k p^(k) of the seeds, built once per
-    (point, index set).
+    A gauge or denominator left over raises NotPolynomial.
     """
-    return bordered_wronskian(seed_functions(pp, D),
-                              _xi_exponents(pp, D, HALF))
+    exps, nums, den = bordered_wronskian(seed_functions(pp, D),
+                                         _xi_exponents(pp, D, HALF))
+    if any(exps):
+        raise NotPolynomial(f"gauge {gauge_str(exps)} does not reduce away")
+    if den.degree > 0:
+        raise NotPolynomial(f"denominator {den!r} remains")
+    return tuple(nums)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,13 +209,13 @@ def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
             check_leading: bool = True) -> Poly:
     """The multi-indexed polynomial P_{D,n}, of degree ell(D) + n.
 
-    P_n goes through the cached cofactor functional of the seeds:
+    P_n goes through the cached numerators of the seeds:
     sum_k R_k P_n^(k), with no determinant and no gauge work per n.
     """
     _check(pp, D)
     if n < 0:
         return Poly.zero()
-    p = _seed_wronskian(pp, D)(classical_poly(pp, n)).as_poly()
+    p = _apply_nums(_seed_wronskian(pp, D), classical_poly(pp, n))
     if check_leading and p.degree != D.ell + n:
         raise DegenerateLeading(
             _degree_mismatch(f"P_(D,{n})", p, D.ell + n, D))

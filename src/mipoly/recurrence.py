@@ -131,7 +131,7 @@ def expand_in_deformed(pp: ParamPoint, D: IndexSet, q: Poly) -> Dict[int, Fracti
         assert rem.is_zero() or rem.degree < D.ell + m
     if not rem.is_zero():
         raise NonzeroRemainder(
-            f"residue of degree {rem.degree} below ell = {D.ell} "
+            f"residue {rem!r} of degree {rem.degree} below ell = {D.ell} "
             f"for {D.label()}")
     return out
 

@@ -241,13 +241,14 @@ def gamma_power_column(pp: ParamPoint, j: int, n: int) -> Column:
     return out
 
 
-def power_formulas_check(pp: ParamPoint, nmax: int, imax: int = 3) -> Report:
-    """Closed-form power columns against repeated products, n <= nmax."""
+def power_formulas_check(pp: ParamPoint, nmax: int) -> Report:
+    """Closed-form power columns against repeated products: powers 1 to 3,
+    columns n <= nmax."""
     out: Report = []
     d, g = delta_matrix(pp), gamma_matrix(pp)
     dprod, gprod = d, g
     detail = f"{pp}; columns n <= {nmax}"
-    for i in range(1, imax + 1):
+    for i in range(1, 4):
         out.append(agree(f"eta_power_{i}", detail,
                          ((f"column {n}", dprod.column(n),
                            delta_power_column(pp, i, n))

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import mipoly
+import mipoly.mindexed as mindexed
 import mipoly.shiftalg as shiftalg
 from mipoly import cli
 from mipoly.checks import show
@@ -229,6 +230,41 @@ def test_recurrence_raw_x_admissible_matches_y_route(capsys):
     assert check_status(doc_x, "x_admissible") == "pass"
     assert doc_x["results"]["rows"] == doc_y["results"]["rows"]
     assert doc_x["results"]["order"] == doc_y["results"]["order"]
+
+
+def test_recurrence_residue_in_the_direct_route_is_a_witness(capsys):
+    # Theta is polynomial for X = eta at g = -1/2, yet X P_(D,0) leaves a
+    # constant below ell = 1 in the deformed basis
+    code, doc = run_json(capsys, ["recurrence", "--family", "L",
+                                  "--g", "-1/2", "--indices", "1I",
+                                  "--nmax", "2", "--raw-X", "0,1"])
+    assert code == 1
+    assert check_status(doc, "x_admissible") == "pass"
+    row = [c for c in doc["checks"] if c["name"] == "route_agreement"][0]
+    assert row["status"] == "fail"
+    assert row["detail"].endswith(
+        "fails at n=0, direct route: NonzeroRemainder: residue Poly(1) of "
+        "degree 0 below ell = 1 for 1I")
+    assert doc["results"]["rows"] == []
+
+
+_DEGENERATE_POINTS = (
+    [["--family", "L", "--g", g] for g in ("-1/2", "1/2", "7/3")]
+    + [["--family", "J", "--g", g, "--h", h]
+       for g, h in (("0", "-1/2"), ("7/3", "9/4"))])
+
+
+def test_degenerate_grid_always_writes_a_document(capsys):
+    # every run at degenerate and generic points, through both the Y and
+    # the raw-X entry, ends in a document: exit 0 or 1, never a traceback
+    for point in _DEGENERATE_POINTS:
+        for indices in ("1I", "2II", "1I,2I", "1I,2II"):
+            for route in (["--y", "1"], ["--raw-X", "0,1"]):
+                argv = ["recurrence", *point, "--indices", indices,
+                        "--nmax", "2", *route]
+                code, doc = run_json(capsys, argv)
+                assert code in (0, 1), argv
+                assert doc["checks"], argv
 
 
 def test_recurrence_builds_theta_once(capsys):
@@ -475,20 +511,26 @@ def test_constructions_take_no_gauged_products(capsys, monkeypatch, argv):
     assert capsys.readouterr().out == want
 
 
-def test_verify_diffop_catches_a_corrupted_cofactor(capsys):
+def test_verify_diffop_catches_a_corrupted_cofactor(capsys, monkeypatch):
     pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
+
+    def corrupted(pp, D):
+        nums = list(_seed_wronskian(pp, D))
+        nums[0] = 2 * nums[0]   # P_(D,0) = R_0
+        return tuple(nums)
+
     for nmax in ("0", "2"):
         _clear_member_caches()
         try:
             p0 = mi_poly(pp, D, 0)
             mi_poly.cache_clear()
-            cofactors = _seed_wronskian(pp, D).cofactors
-            cofactors[0] = [2 * c for c in cofactors[0]]   # P_(D,0) = R_0
+            monkeypatch.setattr(mindexed, "_seed_wronskian", corrupted)
             # at n >= 1 the corrupted members leave the image of Fhat;
             # Bhat of them is no polynomial, a failing case of its own
             code, doc = run_json(capsys, ["verify", "--suite", "diffop",
                                           "--samples", "1", "--nmax", nmax])
         finally:
+            monkeypatch.undo()
             _clear_member_caches()
         assert code == 1
         row = doc["checks"][0]

@@ -24,7 +24,14 @@ from mipoly.diffop import (
 )
 from mipoly.families import delta_shift
 from mipoly.gauged import NotPolynomial
-from mipoly.mindexed import IndexSet, mi_poly, mj_function, pi_factor, xi_poly
+from mipoly.mindexed import (
+    IndexSet,
+    _seed_wronskian,
+    mi_poly,
+    mj_function,
+    pi_factor,
+    xi_poly,
+)
 from mipoly.recurrence import theta_op
 
 F = Fraction
@@ -166,6 +173,17 @@ def test_forward_intertwining(pp, D):
         assert got == RatFunc(mi_poly(pp, D, n)), n
 
 
+def test_seed_numerators_and_fhat_are_one_operator():
+    # P_(D,n) reads the bordered Wronskian's numerators R_k, Fhat the
+    # wronskian_rows minors: equal as operators, not only on P_n, n <= 5
+    from mipoly import cli
+    cases = cli._deformed_cases(max(len(cli._L_POOL), len(cli._J_POOL)))
+    cases.append((JG, IndexSet.parse("J", "1I,2I,4I,2II")))
+    for pp, D in cases:
+        assert DiffOp(_seed_wronskian(pp, D)) == forward_op(pp, D), \
+            (str(pp), D.label())
+
+
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_backward_intertwining(pp, D):
     bhat = backward_op(pp, D)
@@ -214,7 +232,7 @@ def test_backward_matches_wronskian_form(pp, D):
 
 @pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
 def test_backward_op_builds_no_wronskian_minor(pp, monkeypatch):
-    # Bhat is the dual seeds' cofactor functional; only the Xi's it is
+    # Bhat is the dual seeds' bordered Wronskian; only the Xi's it is
     # built from (cached first) and verify's Wronskian form take a minor
     D = IndexSet.parse(pp.family, "1I,3I,2II")
     xi_poly(pp, D)

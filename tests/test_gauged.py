@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipoly.exact import ETA, Poly, RatFunc, differentiate
+from mipoly.exact import ETA, Poly, RatFunc, _apply_nums, differentiate
 from mipoly.gauged import (
     GaugedFn,
     GaugeMismatch,
@@ -290,12 +290,13 @@ def test_bordered_replay_of_a_dependent_block():
                  small_rationals, small_rationals))
 @settings(max_examples=25, deadline=None)
 def test_bordered_wronskian_is_wronskian_times_gauge(fs, ps, gauge):
-    # one elimination of the f_j, replayed for several plain last columns
-    bordered = bordered_wronskian(fs, gauge)
+    # one elimination of the f_j; its numerators applied to several plain
+    # last columns, over its denominator and times the gauge left over
+    exps, nums, den = bordered_wronskian(fs, gauge)
     for p in ps:
         want = wronskian_oracle(fs + [GaugedFn(r=p)],
                                 list(range(len(fs) + 1))) * GaugedFn(*gauge)
-        assert bordered(p) == want
+        assert GaugedFn(*exps, r=RatFunc(_apply_nums(nums, p), den)) == want
 
 
 def test_det_ratfunc_with_denominators():

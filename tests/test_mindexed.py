@@ -253,7 +253,7 @@ def test_pi_factor_products():
 @pytest.mark.parametrize("pp", [LG, JG], ids=["L", "J"])
 @pytest.mark.parametrize("label", ["", "1I", "1I,2II", "1I,3I,2II"])
 def test_mi_poly_replay_matches_full_wronskian(pp, label):
-    # mi_poly applies the cached cofactor functional of the seeds to P_n;
+    # mi_poly applies the cached numerators of the seeds to P_n;
     # the oracle is the whole Wronskian times the gauge
     _check_against_full_wronskian(pp, IndexSet.parse(pp.family, label), True)
 

@@ -181,7 +181,7 @@ def test_star_identity_suite():
 
 @pytest.mark.parametrize("pp", [HERMITE, LG, JG])
 def test_power_formulas_agree(pp):
-    for name, ok, detail in power_formulas_check(pp, 10, imax=3):
+    for name, ok, detail in power_formulas_check(pp, 10):
         assert ok, (name, detail)
 
 
