@@ -493,7 +493,7 @@ def _latex_render(doc: dict) -> str:
     if cfg["command"] == "construct" and "xi" in res:
         lines.append("\\begin{align*}")
         lines.append(f"  \\Xi(\\eta) &= {_latex_poly(res['xi'])} \\\\")
-        for row in res["members"]:
+        for row in res.get("members", ()):
             lines.append(f"  P_{{{row['n']}}}(\\eta) &= "
                          f"{_latex_poly(row['coeffs'])} \\\\")
         lines.append("\\end{align*}")

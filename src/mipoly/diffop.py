@@ -32,6 +32,8 @@ with the multi-indexed family P_{D,n}:
   :class:`~mipoly.gauged.NotPolynomial`, a power of a gauge base left
   below Xi^M :class:`DenominatorEscape`.  Theta = Bhat o X o Fhat is
   composed over Xi^M with no gcd before the final lowest-terms step.
+  ``backward_apply_via_wronskian`` is Bhat q unexpanded: the Wronskian
+  of the m_j and the gaugeless column ((0, 0, 0, 0), q).
 
 ``htilde_op`` is the gauged Hamiltonian with H P_{D,n} = E_n P_{D,n},
 with numerators over Xi:
@@ -70,13 +72,7 @@ from .families import (
     schrodinger_c2,
     shifted_params,
 )
-from .gauged import (
-    GaugedFn,
-    NotPolynomial,
-    bordered_wronskian,
-    gauge_str,
-    wronskian_rows,
-)
+from .gauged import _gaugeless, _poly_nums, bordered_wronskian, wronskian_rows
 from .mindexed import (
     HALF,
     IndexSet,
@@ -222,8 +218,8 @@ def forward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     coeffs = []
     for i in range(M + 1):
         # row i's last-column cofactor; NotPolynomial if the gauge stays
-        minor = wronskian_rows(columns, [k for k in range(M + 1) if k != i],
-                               gauge).as_poly()
+        (minor,) = _poly_nums(wronskian_rows(
+            columns, [k for k in range(M + 1) if k != i], gauge))
         coeffs.append(minor if (M + i) % 2 == 0 else -minor)
     return DiffOp(coeffs)
 
@@ -246,10 +242,8 @@ def backward_op(pp: ParamPoint, D: IndexSet) -> DiffOp:
     if M == 0:
         return DiffOp.identity()
     const, exps = _rho_backward(pp, D)
-    exps, nums, den = bordered_wronskian(
-        [mj_function(pp, D, j) for j in range(M)], exps)
-    if any(exps):
-        raise NotPolynomial(f"gauge {gauge_str(exps)} does not reduce away")
+    nums, den = _gaugeless(bordered_wronskian(
+        [mj_function(pp, D, j) for j in range(M)], exps))
     if den.degree > 0:
         raise DenominatorEscape(f"denominator {den!r} is left over "
                                 f"Xi^{M} for {D.label()}")
@@ -262,10 +256,10 @@ def backward_apply_via_wronskian(pp: ParamPoint, D: IndexSet,
     M = D.size
     if M == 0:
         return RatFunc(q)
-    cols = [mj_function(pp, D, j) for j in range(M)] + [GaugedFn(r=q)]
+    cols = [mj_function(pp, D, j) for j in range(M)] + [((0, 0, 0, 0), q)]
     const, exps = _rho_backward(pp, D)
-    w = wronskian_rows(cols, list(range(M + 1)), exps).as_ratfunc()
-    return RatFunc(const * w.num, w.den * xi_poly(pp, D) ** M)
+    (num,), den = _gaugeless(wronskian_rows(cols, list(range(M + 1)), exps))
+    return RatFunc(const * num, den * xi_poly(pp, D) ** M)
 
 
 @functools.lru_cache(maxsize=None)

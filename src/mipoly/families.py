@@ -15,10 +15,11 @@ form; it matters for Hermite, whose A_n is constant).  Parameters are
 Besides the recurrence data the module knows, per family: the leading
 coefficient c_n; the derivative expansion d/deta P_n = sum_k c_{n,k}
 P_{n-k}; the eigenvalue E_n; and for Laguerre/Jacobi the two kinds of
-virtual-state seeds (type I and type II), their twisted parameter maps,
-virtual energies and leading coefficients, and the parameter shifts
-lambda -> lambda + delta and lambda -> lambda^{[s1, s2]} used by the
-construction of multi-indexed families.
+virtual-state seeds (type I and type II, as (gauge exponents,
+polynomial) Wronskian columns), their twisted parameter maps, virtual
+energies and leading coefficients, and the parameter shifts lambda ->
+lambda + delta and lambda -> lambda^{[s1, s2]} used by the construction
+of multi-indexed families.
 
 Division by zero in a closed-form coefficient (possible for Jacobi when
 2n + alpha + beta hits a nonpositive integer, or when a parameter choice
@@ -34,7 +35,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .exact import ETA, ParamPoint, Poly, pochhammer, rat
-from .gauged import GaugedFn
 
 
 class GenericityViolation(ValueError):
@@ -216,8 +216,9 @@ def virtual_leading(pp: ParamPoint, vtype: str, v: int) -> Fraction:
     raise ValueError("virtual seeds are defined for Laguerre/Jacobi only")
 
 
-def seed(pp: ParamPoint, vtype: str, v: int) -> GaugedFn:
-    """The virtual-state seed function phi_v as a gauged function.
+def seed(pp: ParamPoint, vtype: str, v: int) -> Tuple[tuple, Poly]:
+    """The virtual-state seed function phi_v as a Wronskian column
+    ((a, b, c, d), p), phi_v = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d p:
 
     Laguerre:  I)  e^eta L_v^(alpha)(-eta)
                II) eta^(1/2 - g) L_v^(-alpha)(eta)
@@ -230,16 +231,12 @@ def seed(pp: ParamPoint, vtype: str, v: int) -> GaugedFn:
     half = Fraction(1, 2)
     if pp.family == "L":
         if vtype == "I":
-            p = classical_poly(pp, v).compose(Poly([0, -1]))
-            return GaugedFn(a=1, r=p)
-        p = classical_poly(twisted(pp, "II"), v)
-        return GaugedFn(b=half - pp.g, r=p)
+            return (1, 0, 0, 0), classical_poly(pp, v).compose(Poly([0, -1]))
+        return (0, half - pp.g, 0, 0), classical_poly(twisted(pp, "II"), v)
     if pp.family == "J":
         if vtype == "I":
-            p = classical_poly(twisted(pp, "I"), v)
-            return GaugedFn(d=half - pp.h, r=p)
-        p = classical_poly(twisted(pp, "II"), v)
-        return GaugedFn(c=half - pp.g, r=p)
+            return (0, 0, 0, half - pp.h), classical_poly(twisted(pp, "I"), v)
+        return (0, 0, half - pp.g, 0), classical_poly(twisted(pp, "II"), v)
     raise ValueError("virtual seeds are defined for Laguerre/Jacobi only")
 
 

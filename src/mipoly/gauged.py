@@ -1,38 +1,35 @@
-"""Gauged functions and exact Wronskians.
+"""Exact Wronskians of gauged columns, and the gauged-function calculus.
 
-A :class:`GaugedFn` is a prefactor
+A *gauge* is the prefactor
 
     e^(a*eta) * eta^b * ((1-eta)/2)^c * ((1+eta)/2)^d
 
-(the *gauge*; a an integer, b, c, d rationals) times a rational-function
-residual.  The class is closed under d/d eta -- differentiation keeps the
-gauge and maps the residual r to
-
-    a*r + (b/eta) r - (c/(1-eta)) r + (d/(1+eta)) r + r'
-
--- and under multiplication (gauges add, residuals multiply).  Instances
-keep b, c, d in [0, 1), so equality and hashing are componentwise.
-Addition requires identical gauges and raises :class:`GaugeMismatch`.
+with a an integer and b, c, d rationals.  A Wronskian column is the pair
+((a, b, c, d), p) of a gauge's exponents and a polynomial p
+(``Column``); ``families.seed`` and ``mindexed.mj_function`` build the
+seeds and dual seeds in that form.  Every Wronskian returns one folded
+triple (exps, nums, den): the gauge of exps times nums/den, with b, c, d
+in [0, 1).  ``_fold`` moves the integer parts of b, c, d into nums/den
+by exact division by the linear bases (no gcd), and all-zero nums carry
+no gauge.  ``_poly_nums`` reads the numerators of a triple that must be
+polynomial and raises :class:`NotPolynomial` if a gauge or a
+denominator is left over (``_gaugeless`` checks the gauge alone).
 
 Gauges.  The bases eta, (1-eta)/2, (1+eta)/2 of b, c, d are one table,
-``_LINEAR``, read by ``deriv``, the ladder and the determinant's gauge.
-One fold, ``_fold``, moves the integer parts of b, c, d into a fraction
-nums/den by exact division by the linear bases (no gcd); ``GaugedFn``
-and the cofactors of ``bordered_wronskian`` both go through it.  Both
-Wronskian entry points, ``wronskian_rows`` and ``bordered_wronskian``,
-take the compensating gauge and add its exponents to the determinant's,
-so no caller multiplies a gauge on afterwards.
+``_LINEAR``, read by the ladder, the determinant's gauge, the fold and
+``GaugedFn.deriv``.  Both Wronskian entry points, ``wronskian_rows`` and
+``bordered_wronskian``, take the compensating gauge and add its
+exponents to the determinant's, so no caller multiplies a gauge on
+afterwards.
 
 Wronskians.  For columns f_1, ..., f_m the determinant
 
     W[f_1, ..., f_m] = det( d^i/deta^i f_j )_{0<=i<m}
 
-is computed exactly from polynomial numerators.  Each column is written
-as a raw gauge G_j times a polynomial p_j (the negative integer powers
-the normal form keeps in the residual denominator go back into the
-exponents; any other denominator raises :class:`NotPolynomial`).  With
-w the product of the linear factors eta, eta - 1, eta + 1 that some G_j
-carries, E_j = w G_j'/G_j is a polynomial and every derivative is
+is computed exactly from polynomial numerators.  Each column is its
+gauge G_j times its polynomial p_j.  With w the product of the linear
+factors eta, eta - 1, eta + 1 that some G_j carries, E_j = w G_j'/G_j
+is a polynomial and every derivative is
 
     f_j^(k) = G_j q_{j,k} / w^k,   q_{j,0} = p_j,
     q_{j,k+1} = w q_{j,k}' + (E_j - k w') q_{j,k}
@@ -58,6 +55,17 @@ the R_k and returns them as polynomial numerators over one den, with the
 gauge left over.  From the seeds they give each P_{D,n} in ``mindexed``,
 from the dual seeds the backward operator Bhat in ``diffop``.
 
+Gauged functions.  A :class:`GaugedFn` is a gauge times a
+rational-function residual, kept by ``_fold`` with b, c, d in [0, 1), so
+equality and hashing are componentwise.  The class is closed under
+d/d eta -- differentiation keeps the gauge and maps the residual r to
+
+    a*r + (b/eta) r - (c/(1-eta)) r + (d/(1+eta)) r + r'
+
+-- and under multiplication (gauges add, residuals multiply); addition
+requires identical gauges and raises :class:`GaugeMismatch`.  No
+construction builds one: it is the calculus of the tests' oracles.
+
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
 of variable, and the collapse of the matrix of cofactor minors -- are
@@ -76,6 +84,7 @@ from typing import Sequence, Tuple
 from .checks import Report, agree
 from .exact import (
     ETA,
+    ONE,
     Poly,
     RatFunc,
     _idivmod,
@@ -103,6 +112,9 @@ def gauge_str(exps: Sequence) -> str:
     return f"({', '.join(rat_str(e) for e in exps)})"
 
 
+# A column ((a, b, c, d), p): the gauge of those exponents times p.
+Column = Tuple[tuple, Poly]
+
 # The gauge bases eta, (1-eta)/2, (1+eta)/2 of the slots b, c, d, each as
 # its monic linear factor and a constant, with factor = const * base.
 _LINEAR = ((ETA, 1), (Poly([-1, 1]), -2), (Poly([1, 1]), 2))
@@ -115,7 +127,7 @@ def _fold(exps: Sequence, nums: Sequence[Poly], den: Poly):
     side -- den for n > 0, nums for n < 0 -- by exact division by the
     linear base, while the base divides every polynomial there; whatever
     power is left multiplies its own side.  Returns (exps, nums, den) with
-    b, c, d in [0, 1).
+    b, c, d in [0, 1); all-zero nums carry no gauge.
     """
     exps, nums, dens = list(exps), list(nums), [den]
     for s, (factor, const) in enumerate(_LINEAR, 1):
@@ -131,7 +143,26 @@ def _fold(exps: Sequence, nums: Sequence[Poly], den: Poly):
                 break
             other[:], k = [q for q, _ in split], k - 1
         own[:] = [p * base ** k for p in own]
+    if all(p.is_zero() for p in nums):
+        exps = [0, 0, 0, 0]
     return exps, nums, dens[0]
+
+
+def _gaugeless(fraction) -> Tuple[list, Poly]:
+    """(nums, den) of a folded triple whose gauge must reduce away."""
+    exps, nums, den = fraction
+    if any(exps):
+        raise NotPolynomial(f"gauge {gauge_str(exps)} does not reduce away")
+    return nums, den
+
+
+def _poly_nums(fraction) -> list:
+    """The numerators of a folded triple that must be polynomials: a
+    gauge or a denominator left over raises NotPolynomial."""
+    nums, den = _gaugeless(fraction)
+    if den.degree > 0:
+        raise NotPolynomial(f"denominator {den * (1 / den.lc())!r} remains")
+    return nums
 
 
 class GaugedFn:
@@ -147,8 +178,6 @@ class GaugedFn:
         (a, b, c, d), (num,), den = _fold((a, rat(b), rat(c), rat(d)),
                                           [r.num], r.den)
         r = RatFunc._reduced(num, den)
-        if r.is_zero():
-            a, b, c, d = 0, Fraction(0), Fraction(0), Fraction(0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -217,16 +246,11 @@ class GaugedFn:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     def as_ratfunc(self) -> RatFunc:
-        if not self.is_gaugeless():
-            raise NotPolynomial(
-                f"gauge {gauge_str(self.gauge())} does not reduce away")
+        _gaugeless((self.gauge(), [self.r.num], self.r.den))
         return self.r
 
     def as_poly(self) -> Poly:
-        r = self.as_ratfunc()
-        if not r.is_polynomial():
-            raise NotPolynomial(f"denominator {r.den!r} remains")
-        return r.num
+        return _poly_nums((self.gauge(), [self.r.num], self.r.den))[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaugedFn):
@@ -241,45 +265,23 @@ class GaugedFn:
                 f"r={self.r!r})")
 
 
-def _raw_gauge(f: GaugedFn) -> Tuple[tuple, Poly]:
-    """f = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d p: ((a, b, c, d), p).
-
-    The normal form folds negative integer exponents into the residual
-    denominator; they go back into the exponents here.
-    """
-    exps = [f.b, f.c, f.d]
-    num, den = f.r.num, f.r.den
-    for slot, (factor, const) in enumerate(_LINEAR):
-        while den.degree > 0:
-            q, rem = poly_divmod(den, factor)
-            if not rem.is_zero():
-                break
-            den = q
-            exps[slot] -= 1
-            num = num * Fraction(1, const)
-    if den.degree > 0:
-        raise NotPolynomial(
-            f"residual denominator {den!r} is not a gauge factor")
-    return (f.a, *exps), num
-
-
-def numerator_ladder(fs: Sequence[GaugedFn], kmax: int):
+def numerator_ladder(fs: Sequence[Column], kmax: int):
     """Polynomial numerators of the derivatives of gauged columns.
 
     Returns (w, present, columns).  Each column is (G, [q_0, ..., q_kmax])
-    with f^(k) = G q_k / w^k and G a raw gauge (a, b, c, d).  w is the
-    product of the linear factors eta, eta - 1, eta + 1 that some G
-    carries; present[s] says whether the factor of slot s (b, c, d) is in
-    w.  E = w G'/G is then a polynomial, and q_{k+1} = w q_k' + (E - k w') q_k.
+    with f^(k) = G q_k / w^k for the column f = (G, p), G its gauge
+    exponents (a, b, c, d).  w is the product of the linear factors eta,
+    eta - 1, eta + 1 that some G carries; present[s] says whether the
+    factor of slot s (b, c, d) is in w.  E = w G'/G is then a polynomial,
+    and q_{k+1} = w q_k' + (E - k w') q_k.
     """
-    split = [_raw_gauge(f) for f in fs]
-    present = [any(g[s + 1] for g, _ in split) for s in range(3)]
+    present = [any(g[s + 1] for g, _ in fs) for s in range(3)]
     w = Poly.one()
     for (factor, _), there in zip(_LINEAR, present):
         if there:
             w = w * factor
     columns = []
-    for g, p in split:
+    for g, p in fs:
         E = g[0] * w
         for s, (factor, _) in enumerate(_LINEAR):
             if g[s + 1]:
@@ -403,10 +405,11 @@ def det_ratfunc(M: Sequence[Sequence[RatFunc]]) -> RatFunc:
     return RatFunc(det, denom)
 
 
-def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int],
-                   gauge: Sequence = (0, 0, 0, 0)) -> GaugedFn:
+def wronskian_rows(fs: Sequence[Column], orders: Sequence[int],
+                   gauge: Sequence = (0, 0, 0, 0)):
     """G det( d^orders[i] f_j ), one row per derivative order, for the
-    compensating gauge G of exponents gauge = (a, b, c, d).
+    compensating gauge G of exponents gauge = (a, b, c, d), as the folded
+    triple (exps, [num], den).
 
     Needs len(orders) == len(fs).  The empty Wronskian is 1.
     """
@@ -414,12 +417,12 @@ def wronskian_rows(fs: Sequence[GaugedFn], orders: Sequence[int],
     if len(orders) != m:
         raise ValueError("need as many derivative orders as columns")
     if m == 0:
-        return GaugedFn(*gauge)
+        return _fold(gauge, [ONE], ONE)
     _, present, columns = numerator_ladder(fs, max(orders))
     det = det_poly([[qs[k] for _, qs in columns] for k in orders])
     exps, scale = _det_gauge(present, [g for g, _ in columns] + [gauge],
                              sum(orders))
-    return GaugedFn(*exps, r=det * scale)
+    return _fold(exps, [det * scale], ONE)
 
 
 def _det_gauge(present, gauges, S: int) -> Tuple[list, Fraction]:
@@ -436,12 +439,12 @@ def _det_gauge(present, gauges, S: int) -> Tuple[list, Fraction]:
     return exps, scale
 
 
-def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
-    """Classical Wronskian W[f_1, ..., f_m]."""
+def wronskian(fs: Sequence[Column]):
+    """Classical Wronskian W[f_1, ..., f_m], as (exps, [num], den)."""
     return wronskian_rows(fs, list(range(len(fs))))
 
 
-def bordered_wronskian(fs: Sequence[GaugedFn], gauge: Sequence):
+def bordered_wronskian(fs: Sequence[Column], gauge: Sequence):
     """p |-> G W[f_1, ..., f_m, p] on plain polynomials p, as numerators.
 
     G = e^(a eta) eta^b ((1-eta)/2)^c ((1+eta)/2)^d for gauge = (a, b, c, d).
@@ -463,11 +466,11 @@ def bordered_wronskian(fs: Sequence[GaugedFn], gauge: Sequence):
                               for k in range(m + 1)])
     exps, scale = _det_gauge(present, [g for g, _ in columns] + [gauge],
                              m * (m + 1) // 2)
-    zero, one = Poly.zero(), Poly.one()
+    zero = Poly.zero()
     rs = [_bordered_det(elimination,
-                        [one if i == k else zero for i in range(m + 1)])
+                        [ONE if i == k else zero for i in range(m + 1)])
           * scale * w ** k for k in range(m + 1)]
-    return _fold(exps, rs, one)
+    return _fold(exps, rs, ONE)
 
 
 # -- seeded identity suite ---------------------------------------------------
@@ -485,7 +488,7 @@ def _random_poly(rng: random.Random, max_degree: int,
 
 def poly_wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian of plain polynomials (gaugeless columns)."""
-    return wronskian([GaugedFn(r=f) for f in fs]).as_poly()
+    return _poly_nums(wronskian([((0, 0, 0, 0), f) for f in fs]))[0]
 
 
 def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:

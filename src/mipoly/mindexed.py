@@ -14,8 +14,10 @@ Wronskians down to honest polynomials of degrees
 
     ell(D) = sum_j d_j - M(M-1)/2 + 2 s1 s2      and      ell(D) + n.
 
-Each gauge's exponents (``_xi_exponents``) are passed into the Wronskian
-itself, so no gauged product is taken afterwards.
+The seeds are (gauge exponents, polynomial) columns.  Each gauge's
+exponents (``_xi_exponents``) are passed into the Wronskian itself, so
+no gauged product is taken afterwards; ``gauged._poly_nums`` reads the
+polynomials off the folded triple it returns.
 
 The second Wronskian is linear in its last column, so times its gauge
 
@@ -61,8 +63,7 @@ from .families import (
     virtual_energy,
     virtual_leading,
 )
-from .gauged import (GaugedFn, NotPolynomial, bordered_wronskian, gauge_str,
-                     wronskian_rows)
+from .gauged import Column, _poly_nums, bordered_wronskian, wronskian_rows
 
 
 class DegenerateLeading(ValueError):
@@ -144,8 +145,8 @@ def _check(pp: ParamPoint, D: IndexSet) -> None:
             f"index set family {D.family!r} does not match {pp.family!r}")
 
 
-def seed_functions(pp: ParamPoint, D: IndexSet) -> List[GaugedFn]:
-    """The seeds mu_j; a seed whose polynomial fails names itself."""
+def seed_functions(pp: ParamPoint, D: IndexSet) -> List[Column]:
+    """The seeds mu_j as columns; a seed whose polynomial fails names it."""
     _check(pp, D)
     out = []
     for t, v in D.entries():
@@ -181,8 +182,8 @@ def _degree_mismatch(name: str, p: Poly, want: int | str, D: IndexSet) -> str:
 def xi_poly(pp: ParamPoint, D: IndexSet, check_leading: bool = True) -> Poly:
     """The denominator polynomial Xi_D, of degree ell(D)."""
     _check(pp, D)
-    xi = wronskian_rows(seed_functions(pp, D), list(range(D.size)),
-                        _xi_exponents(pp, D, -HALF)).as_poly()
+    xi = _poly_nums(wronskian_rows(seed_functions(pp, D), list(range(D.size)),
+                                   _xi_exponents(pp, D, -HALF)))[0]
     if check_leading and xi.degree != D.ell:
         raise DegenerateLeading(_degree_mismatch("Xi", xi, f"ell = {D.ell}", D))
     return xi
@@ -195,13 +196,8 @@ def _seed_wronskian(pp: ParamPoint, D: IndexSet) -> Tuple[Poly, ...]:
 
     A gauge or denominator left over raises NotPolynomial.
     """
-    exps, nums, den = bordered_wronskian(seed_functions(pp, D),
-                                         _xi_exponents(pp, D, HALF))
-    if any(exps):
-        raise NotPolynomial(f"gauge {gauge_str(exps)} does not reduce away")
-    if den.degree > 0:
-        raise NotPolynomial(f"denominator {den!r} remains")
-    return tuple(nums)
+    return tuple(_poly_nums(bordered_wronskian(seed_functions(pp, D),
+                                               _xi_exponents(pp, D, HALF))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,19 +265,20 @@ def p_leading(pp: ParamPoint, D: IndexSet, n: int) -> Fraction:
     return out
 
 
-def mj_function(pp: ParamPoint, D: IndexSet, j: int) -> GaugedFn:
-    """The dual seed m_j entering the backward Wronskian (column order j)."""
+def mj_function(pp: ParamPoint, D: IndexSet, j: int) -> Column:
+    """The dual seed m_j entering the backward Wronskian (column order j),
+    as the column (gauge exponents, Xi of D without seed j)."""
     _check(pp, D)
     t, _ = D.entries()[j]
     sub = xi_poly(pp, D.drop(j))
     s1, s2 = D.s1, D.s2
     if pp.family == "L":
         if t == "I":
-            return GaugedFn(b=-(s1 - s2 + pp.g - HALF), r=sub)
-        return GaugedFn(a=1, r=sub)
+            return (0, -(s1 - s2 + pp.g - HALF), 0, 0), sub
+        return (1, 0, 0, 0), sub
     if t == "I":
-        return GaugedFn(c=-(s1 - s2 + pp.g - HALF), r=sub)
-    return GaugedFn(d=-(s2 - s1 + pp.h - HALF), r=sub)
+        return (0, 0, -(s1 - s2 + pp.g - HALF), 0), sub
+    return (0, 0, 0, -(s2 - s1 + pp.h - HALF)), sub
 
 
 def plusdelta_constant(pp: ParamPoint, D: IndexSet) -> Fraction:

@@ -27,12 +27,13 @@ The third route (the index-shift action of Theta) is in
 :mod:`mipoly.shiftalg` and consumes the Theta built here; ``theta_op``
 is cached, so both routes share one Theta per (point, index set, Y).
 
-Membership of a polynomial in span{P_{D,n}} is decidable without any
-expansion: q belongs to the span iff
+Membership of a polynomial in span{P_{D,n}} has a test without any
+expansion: q in the span makes Htilde q a polynomial, that is
 
     Xi | Xi' (2 c_2 q' + c_1[shifted - delta] q) - Xi'' c_2 q
 
-(``in_deformed_span``).  For parameter points where leading coefficients
+(``in_deformed_span``, which reads ``diffop.htilde_op``; the converse
+can fail, see there).  For parameter points where leading coefficients
 degenerate the elimination ladder is unusable; ``span_solve_deformed``
 solves the expansion as an exact linear system instead, skipping
 identically-zero basis members.
@@ -44,23 +45,9 @@ import functools
 from fractions import Fraction
 from typing import Dict, List
 
-from .diffop import DiffOp, backward_op, forward_op
-from .exact import (
-    ParamPoint,
-    Poly,
-    differentiate,
-    integrate_from_zero,
-    poly_divmod,
-)
-from .families import (
-    GenericityViolation,
-    classical_poly,
-    delta_shift,
-    expand_in_classical,
-    schrodinger_c1,
-    schrodinger_c2,
-    shifted_params,
-)
+from .diffop import DiffOp, backward_op, forward_op, htilde_op
+from .exact import ParamPoint, Poly, integrate_from_zero
+from .families import GenericityViolation, classical_poly, expand_in_classical
 from .gauged import NotPolynomial
 from .mindexed import IndexSet, mi_poly, pi_factor, xi_poly
 
@@ -84,16 +71,17 @@ def recurrence_order(D: IndexSet, Y: Poly) -> int:
 
 
 def in_deformed_span(pp: ParamPoint, D: IndexSet, q: Poly) -> bool:
-    """Whether q lies in span{P_{D,n} : n >= 0}."""
-    xi = xi_poly(pp, D)
-    dxi = differentiate(xi)
-    ddxi = differentiate(dxi)
-    c2 = schrodinger_c2(pp)
-    lam = shifted_params(pp, D.s1, D.s2)
-    c10 = schrodinger_c1(delta_shift(lam, -1))
-    T = dxi * (2 * c2 * differentiate(q) + c10 * q) - ddxi * c2 * q
-    _, rem = poly_divmod(T, xi)
-    return rem.is_zero()
+    """Whether Htilde q is a polynomial, the span test for q.
+
+    Htilde's numerators are over Xi, and the numerator of Htilde q is
+    4 T mod Xi with T = Xi' (2 c_2 q' + c_1[shifted - delta] q)
+    - Xi'' c_2 q, so this is the test Xi | T.  Every q in
+    span{P_{D,n} : n >= 0} passes.  The converse can fail at a point
+    check_genericity accepts: at L g=-1/2 with D = 1I (Xi = eta),
+    q = eta P_(D,0) passes, yet expand_in_deformed leaves the residue 1
+    below ell = 1.
+    """
+    return htilde_op(pp, D).apply(q).is_polynomial()
 
 
 def theta_from_x(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
@@ -204,7 +192,13 @@ def recurrence_direct(pp: ParamPoint, D: IndexSet, Y: Poly,
 
 def recurrence_via_theta(pp: ParamPoint, D: IndexSet, Y: Poly,
                          n: int) -> Dict[int, Fraction]:
-    """r_{n,k} = r0_{n,k} / pi_D(n+k) from the conjugated operator."""
+    """r_{n,k} = r0_{n,k} / pi_D(n+k) from the conjugated operator.
+
+    Relies on ``check_genericity`` through n + L.  Where pi_D(m) = 0 but
+    P_{D,m} != 0, Theta's entry r0_{n,m-n} = pi_D(m) r_{n,m-n} is 0, so
+    the term is dropped and the pi == 0 guard never fires: at L g=-13/2,
+    D = 1I,2II, n = 0 this route omits the direct route's r_{0,5} = 27.
+    """
     theta = theta_op(pp, D, Y)
     return recurrence_from_theta(pp, D, theta, n)
 

@@ -472,7 +472,10 @@ def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,
     eigenvalue product at m yields the recurrence coefficients.  Every
     nonzero entry of the column is returned, so an entry outside
     |k| <= L shows up as a disagreement with the other routes instead of
-    being dropped.
+    being dropped.  Like ``recurrence_via_theta`` it relies on
+    ``check_genericity``: a row m with pi_D(m) = 0 has the entry
+    pi_D(m) r_{n,m-n} = 0, so its term is dropped and the pi == 0 guard
+    never fires (L g=-13/2, D = 1I,2II, n = 0 omits r_{0,5} = 27).
     """
     out: Dict[int, Fraction] = {}
     for m, v in banded_column(theta_op(pp, D, Y), pp, n).items():

@@ -288,6 +288,20 @@ def test_recurrence_names_identically_zero_member(capsys):
     assert "rows" not in doc["results"]
 
 
+def test_recurrence_gates_a_vanishing_pi_with_a_nonzero_member(capsys):
+    # pi_D(5) = 0 while P_(D,5) != 0: Theta's entry there is
+    # pi_D(5) r_(0,5) = 0, so the theta and matrix routes would drop the
+    # direct route's r_(0,5) = 27 unnoticed; the genericity check stops
+    # the run first
+    code, doc = run_json(capsys, ["recurrence", "--family", "L",
+                                  "--g", "-13/2", "--indices", "1I,2II",
+                                  "--nmax", "0"])
+    assert code == 1
+    row = [c for c in doc["checks"] if c["name"] == "genericity"][0]
+    assert row["detail"] == "pi_D(5) = 0 for 1I,2II at L g=-13/2"
+    assert "rows" not in doc["results"]
+
+
 def test_recurrence_names_route_witness(capsys, monkeypatch):
     real = shiftalg.recurrence_bispectral
 
@@ -494,17 +508,19 @@ def _clear_library_caches():
     ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I,3I,2II",
      "--nmax", "1"],
     ["verify", "--suite", "diffop", "--samples", "1", "--nmax", "1"],
+    ["verify", "--suite", "all", "--samples", "1", "--nmax", "1"],
 ])
 def test_constructions_take_no_gauged_products(capsys, monkeypatch, argv):
-    # every compensating gauge is passed into its Wronskian; GaugedFn
-    # arithmetic is left to the Leibniz oracle of test_gauged
+    # every compensating gauge is passed into its Wronskian and every
+    # column is an (exponents, polynomial) pair, so no program path builds
+    # a GaugedFn; its calculus is left to the Leibniz oracle of test_gauged
     assert main(argv) == 0
     want = capsys.readouterr().out
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("GaugedFn arithmetic on a construction path")
+        raise AssertionError("GaugedFn on a construction path")
 
-    for name in ("__mul__", "__rmul__", "__truediv__"):
+    for name in ("__init__", "__mul__", "__rmul__", "__truediv__"):
         monkeypatch.setattr(GaugedFn, name, forbidden)
     _clear_library_caches()
     assert main(argv) == 0
@@ -667,6 +683,27 @@ def test_latex_of_a_failed_run_names_its_failures(capsys, tmp_path, argv,
     assert target.read_text() == want
 
 
+def test_latex_of_a_construct_that_fails_after_xi(capsys, tmp_path):
+    # Xi is built, then P_(D,1) hits a vanishing recurrence denominator:
+    # the JSON has xi but no members, and the fragment typesets Xi alone
+    argv = ["construct", "--family", "J", "--g", "-1", "--h", "2",
+            "--indices", "1I", "--nmax", "1"]
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert "xi" in doc["results"] and "members" not in doc["results"]
+    target = tmp_path / "fragment.tex"
+    code = main(argv + ["--format", "latex", "--latex", str(target)])
+    out = capsys.readouterr().out
+    assert code == 1
+    want = (f"% mipoly construct v{mipoly.__version__}\n"
+            "\\begin{align*}\n"
+            "  \\Xi(\\eta) &= -\\tfrac{1}{2}\\eta \\\\\n"
+            "\\end{align*}\n"
+            "% FAIL genericity -- B_0 denominator vanishes\n")
+    assert out == want
+    assert target.read_text() == want
+
+
 def test_text_format(capsys):
     code = main(["construct", "--family", "L", "--g", "7/3",
                  "--indices", "1I", "--format", "text", "--nmax", "1"])
@@ -688,6 +725,16 @@ def test_cold_import_skips_dataclasses():
     unwanted = ["dataclasses", "argparse", "locale", "getopt", "gettext",
                 *_OPERATOR_LAYERS]
     script = ("import mipoly.cli, sys; "
+              f"print({unwanted!r} & sys.modules.keys())")
+    out = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "set()"
+
+
+def test_families_loads_no_wronskian_layer():
+    # the seeds are plain (exponents, polynomial) pairs
+    unwanted = ["mipoly.gauged", "mipoly.mindexed", *_OPERATOR_LAYERS]
+    script = ("import mipoly.families, sys; "
               f"print({unwanted!r} & sys.modules.keys())")
     out = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                          capture_output=True, text=True, check=True).stdout

@@ -274,7 +274,8 @@ def test_classical_eigenfunctions(pp):
 def test_virtual_states_are_eigenfunctions(pp, vtype):
     # the seeds solve the same gauged equation at negative energy
     for v in range(5):
-        phi = seed(pp, vtype, v)
+        exps, p = seed(pp, vtype, v)
+        phi = GaugedFn(*exps, r=p)
         assert apply_gauged_hamiltonian(pp, phi) == \
             phi * virtual_energy(pp, vtype, v), (pp.family, vtype, v)
 
@@ -286,7 +287,8 @@ def test_virtual_leading_coefficients(pp, vtype):
     half = F(1, 2)
     for v in range(5):
         # strip the definitional gauge to expose the polynomial part
-        phi = seed(pp, vtype, v)
+        exps, p = seed(pp, vtype, v)
+        phi = GaugedFn(*exps, r=p)
         if pp.family == "L":
             bare = phi * (GaugedFn(a=-1) if vtype == "I"
                           else GaugedFn(b=pp.g - half))

@@ -4,7 +4,10 @@ The Wronskian oracle here is deliberately independent of the engine: it
 differentiates columns directly and expands the determinant by the Leibniz
 permutation sum over GaugedFn arithmetic (every permutation term carries
 the same total gauge, so the sum is well-defined), with no gauge
-factoring, no denominator clearing and no Bareiss elimination.
+factoring, no denominator clearing and no Bareiss elimination.  It reads
+the same (exponents, polynomial) columns the engine receives, as
+GaugedFn(*exps, r=p), and an engine triple (exps, nums, den) is compared
+as GaugedFn(*exps, r=nums/den).
 """
 
 import itertools
@@ -23,6 +26,7 @@ from mipoly.gauged import (
     _bordered_det,
     _eliminate,
     _ladder,
+    _poly_nums,
     bordered_wronskian,
     det_poly,
     det_ratfunc,
@@ -46,13 +50,28 @@ def small_polys(draw, max_degree=3, nonzero=False):
 
 
 @st.composite
-def gauged_fns(draw):
+def gauged_columns(draw):
     a = draw(st.integers(min_value=-1, max_value=2))
     b = draw(small_rationals)
     c = draw(small_rationals)
     d = draw(small_rationals)
     num = draw(small_polys(max_degree=2, nonzero=True))
-    return GaugedFn(a, b, c, d, RatFunc(num))
+    return (a, b, c, d), num
+
+
+def as_fn(column):
+    """The GaugedFn of a Wronskian column (exps, p)."""
+    exps, p = column
+    return GaugedFn(*exps, r=p)
+
+
+def triple_fn(triple):
+    """The GaugedFn of a one-numerator Wronskian triple (exps, [num], den)."""
+    exps, (num,), den = triple
+    return GaugedFn(*exps, r=RatFunc(num, den))
+
+
+gauged_fns = gauged_columns().map(as_fn)
 
 
 def _perm_sign(perm):
@@ -65,13 +84,14 @@ def _perm_sign(perm):
 
 
 def wronskian_oracle(fs, orders):
-    """Leibniz-sum Wronskian: no gauge factoring, no Bareiss."""
+    """Leibniz-sum Wronskian of columns (exps, p): no gauge factoring, no
+    Bareiss."""
     if not fs:
         return GaugedFn()
     kmax = max(orders)
     cols = []
     for f in fs:
-        ladder = [f]
+        ladder = [as_fn(f)]
         for _ in range(kmax):
             ladder.append(ladder[-1].deriv())
         cols.append(ladder)
@@ -99,7 +119,7 @@ def det_oracle(M):
 # -- GaugedFn calculus ---------------------------------------------------
 
 
-@given(gauged_fns(), gauged_fns())
+@given(gauged_fns, gauged_fns)
 @settings(max_examples=60)
 def test_product_rule(f, g):
     assert (f * g).deriv() == f.deriv() * g + f * g.deriv()
@@ -116,30 +136,23 @@ def test_plain_column_ladder_is_scaled_derivatives(p, w, m):
         dk = differentiate(dk)
 
 
-@given(gauged_fns())
+@given(gauged_columns())
 def test_second_derivative_two_ways(f):
     w, _, [(g, qs)] = numerator_ladder([f], 2)
-    assert f.deriv().deriv() == GaugedFn(*g, r=RatFunc(qs[2], w ** 2))
+    assert as_fn(f).deriv().deriv() == GaugedFn(*g, r=RatFunc(qs[2], w ** 2))
 
 
-@given(st.lists(gauged_fns(), min_size=1, max_size=3),
+@given(st.lists(gauged_columns(), min_size=1, max_size=3),
        st.integers(min_value=0, max_value=3))
 @settings(deadline=None)
 def test_derivative_ladder_matches_repeated_deriv(fs, k):
     # f^(i) = G q_i / w^i with one w shared by all columns
     w, _, columns = numerator_ladder(fs, k)
     for f, (g, qs) in zip(fs, columns):
-        h = f
+        h = as_fn(f)
         for i in range(k + 1):
             assert GaugedFn(*g, r=RatFunc(qs[i], w ** i)) == h
             h = h.deriv()
-
-
-def test_residual_outside_the_gauge_is_rejected():
-    # 1/(eta - 3) is no power of eta, (1-eta)/2 or (1+eta)/2
-    f = GaugedFn(b=Fraction(1, 2), r=RatFunc(Poly.one(), Poly([-3, 1])))
-    with pytest.raises(NotPolynomial):
-        wronskian_rows([f, GaugedFn(r=ETA)], [0, 1])
 
 
 def test_fractional_power_derivative():
@@ -186,6 +199,23 @@ def test_extraction_errors():
     with pytest.raises(NotPolynomial):
         GaugedFn(r=RatFunc(Poly.one(), ETA)).as_poly()
     assert GaugedFn(r=Poly([1, 2])).as_poly() == Poly([1, 2])
+
+
+def test_poly_nums_names_what_is_left_over():
+    with pytest.raises(NotPolynomial,
+                       match=r"^gauge \(0, 1/2, 0, 0\) does not reduce away$"):
+        _poly_nums(wronskian([((0, Fraction(1, 2), 0, 0), Poly.one())]))
+    # ((1-eta)/2)^(-1): the monic denominator, as GaugedFn.as_poly names it
+    with pytest.raises(NotPolynomial,
+                       match=r"^denominator Poly\(-1 \+ 1\*eta\) remains$"):
+        _poly_nums(wronskian([((0, 0, -1, 0), Poly.one())]))
+    with pytest.raises(NotPolynomial,
+                       match=r"^denominator Poly\(-1 \+ 1\*eta\) remains$"):
+        GaugedFn(c=-1).as_poly()
+    # a zero Wronskian carries no gauge, so it reads as the zero polynomial
+    f = ((1, Fraction(1, 2), 0, 0), Poly([1, 2]))
+    g = ((1, Fraction(1, 2), 0, 0), Poly([-2, -4]))
+    assert _poly_nums(wronskian([f, g])) == [Poly.zero()]
 
 
 def test_zero_is_canonical():
@@ -284,7 +314,7 @@ def test_bordered_replay_of_a_dependent_block():
     assert _bordered_det(elimination, [row[3] for row in rows]).is_zero()
 
 
-@given(st.lists(gauged_fns(), min_size=0, max_size=3),
+@given(st.lists(gauged_columns(), min_size=0, max_size=3),
        st.lists(small_polys(), min_size=1, max_size=3),
        st.tuples(st.integers(min_value=-1, max_value=1), small_rationals,
                  small_rationals, small_rationals))
@@ -294,7 +324,7 @@ def test_bordered_wronskian_is_wronskian_times_gauge(fs, ps, gauge):
     # last columns, over its denominator and times the gauge left over
     exps, nums, den = bordered_wronskian(fs, gauge)
     for p in ps:
-        want = wronskian_oracle(fs + [GaugedFn(r=p)],
+        want = wronskian_oracle(fs + [((0, 0, 0, 0), p)],
                                 list(range(len(fs) + 1))) * GaugedFn(*gauge)
         assert GaugedFn(*exps, r=RatFunc(_apply_nums(nums, p), den)) == want
 
@@ -313,56 +343,59 @@ def test_det_ratfunc_with_denominators():
 # -- Wronskians ------------------------------------------------------------
 
 
-@given(st.lists(gauged_fns(), min_size=1, max_size=3))
+@given(st.lists(gauged_columns(), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_wronskian_matches_leibniz_oracle(fs):
-    assert wronskian(fs) == wronskian_oracle(fs, list(range(len(fs))))
+    assert triple_fn(wronskian(fs)) \
+        == wronskian_oracle(fs, list(range(len(fs))))
 
 
-@given(st.lists(gauged_fns(), min_size=2, max_size=3), st.data())
+@given(st.lists(gauged_columns(), min_size=2, max_size=3), st.data())
 @settings(max_examples=15, deadline=None)
 def test_wronskian_rows_matches_oracle(fs, data):
     orders = data.draw(st.lists(st.integers(min_value=0, max_value=3),
                                 min_size=len(fs), max_size=len(fs),
                                 unique=True))
-    assert wronskian_rows(fs, orders) == wronskian_oracle(fs, orders)
+    assert triple_fn(wronskian_rows(fs, orders)) \
+        == wronskian_oracle(fs, orders)
     # a compensating gauge passed in is the oracle times that gauge
     gauge = data.draw(st.tuples(st.integers(min_value=-1, max_value=1),
                                 small_rationals, small_rationals,
                                 small_rationals))
-    assert wronskian_rows(fs, orders, gauge) \
+    assert triple_fn(wronskian_rows(fs, orders, gauge)) \
         == wronskian_oracle(fs, orders) * GaugedFn(*gauge)
 
 
-@given(st.lists(gauged_fns(), min_size=2, max_size=3))
+@given(st.lists(gauged_columns(), min_size=2, max_size=3))
 @settings(max_examples=15, deadline=None)
 def test_wronskian_column_swap_antisymmetry(fs):
     swapped = [fs[1], fs[0]] + list(fs[2:])
-    assert wronskian(swapped) == wronskian(fs) * (-1)
+    assert triple_fn(wronskian(swapped)) == triple_fn(wronskian(fs)) * (-1)
 
 
 def test_wronskian_edge_cases():
-    assert wronskian([]) == GaugedFn()
-    f = GaugedFn(a=1, r=Poly([0, 2]))
-    assert wronskian([f]) == f
+    assert triple_fn(wronskian([])) == GaugedFn()
+    f = ((1, 0, 0, 0), Poly([0, 2]))
+    assert triple_fn(wronskian([f])) == as_fn(f)
 
 
 def test_wronskian_pinned_values():
-    one = GaugedFn(r=Poly.one())
-    eta = GaugedFn(r=ETA)
-    assert wronskian([one, eta]).as_poly() == Poly.one()
-    assert wronskian([eta, one]).as_poly() == Poly([-1])
+    one = ((0, 0, 0, 0), Poly.one())
+    eta = ((0, 0, 0, 0), ETA)
+    assert _poly_nums(wronskian([one, eta])) == [Poly.one()]
+    assert _poly_nums(wronskian([eta, one])) == [Poly([-1])]
     # W[e^eta, e^(2 eta)] = e^(3 eta)
-    w = wronskian([GaugedFn(a=1), GaugedFn(a=2)])
-    assert w == GaugedFn(a=3)
+    w = wronskian([((1, 0, 0, 0), Poly.one()), ((2, 0, 0, 0), Poly.one())])
+    assert triple_fn(w) == GaugedFn(a=3)
     # W[eta^(1/2), eta^(3/2)] = eta
-    w = wronskian([GaugedFn(b=Fraction(1, 2)), GaugedFn(b=Fraction(3, 2))])
-    assert w.as_poly() == ETA
+    w = wronskian([((0, Fraction(1, 2), 0, 0), Poly.one()),
+                   ((0, Fraction(3, 2), 0, 0), Poly.one())])
+    assert _poly_nums(w) == [ETA]
 
 
 def test_wronskian_rows_length_check():
     with pytest.raises(ValueError):
-        wronskian_rows([GaugedFn()], [0, 1])
+        wronskian_rows([((0, 0, 0, 0), Poly.one())], [0, 1])
 
 
 # -- determinant identities --------------------------------------------------

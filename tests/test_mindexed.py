@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from mipoly.exact import ParamPoint, Poly, pochhammer
+from mipoly.exact import ParamPoint, Poly, RatFunc, pochhammer
 from mipoly.families import (
     GenericityViolation,
     classical_poly,
@@ -272,6 +272,8 @@ def test_mi_poly_matches_full_wronskian_at_degenerate_points(pp, label):
 def _check_against_full_wronskian(pp, D, check_leading):
     seeds = seed_functions(pp, D)
     for n in range(41):
-        w = wronskian(seeds + [GaugedFn(r=classical_poly(pp, n))])
+        exps, (num,), den = wronskian(seeds + [((0, 0, 0, 0),
+                                                 classical_poly(pp, n))])
+        w = GaugedFn(*exps, r=RatFunc(num, den))
         assert mi_poly(pp, D, n, check_leading=check_leading) \
             == (w * GaugedFn(*_xi_exponents(pp, D, HALF))).as_poly(), n

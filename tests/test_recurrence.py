@@ -22,6 +22,7 @@ from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import (
     DegenerateLeading,
     IndexSet,
+    check_genericity,
     mi_poly,
     pi_factor,
     xi_poly,
@@ -133,6 +134,18 @@ def test_span_membership(pp, sets):
     # the empty index set spans everything
     D0 = IndexSet(pp.family, (), ())
     assert in_deformed_span(pp, D0, Poly([3, 1, 2]))
+
+
+def test_span_test_passes_a_polynomial_outside_the_span():
+    # at L g=-1/2, D = 1I: Xi = eta, P_(D,0) = -1 - eta, P_(D,1) = eta^2,
+    # so eta P_(D,0) = -eta - eta^2 is no combination of them, yet
+    # Htilde of it is the polynomial -4 - 4 eta^2
+    pp, D = ParamPoint("L", g=F(-1, 2)), IndexSet.parse("L", "1I")
+    check_genericity(pp, D, 2)
+    q = ETA * mi_poly(pp, D, 0)
+    assert in_deformed_span(pp, D, q)
+    with pytest.raises(NonzeroRemainder, match=r"residue Poly\(1\) of degree 0"):
+        expand_in_deformed(pp, D, q)
 
 
 # -- the two routes agree --------------------------------------------------
