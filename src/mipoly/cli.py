@@ -175,18 +175,14 @@ def cmd_construct(args) -> Tuple[dict, int]:
 
 
 def _matching_golden(pp: ParamPoint, D: IndexSet, Y: Poly) -> Optional[dict]:
-    for name in ("laguerre_single_seed", "jacobi_single_seed"):
-        gold = _load_golden(name)
-        if gold["family"] != pp.family or gold["indices"] != D.label():
-            continue
-        if Fraction(gold["g"]) != pp.g:
-            continue
-        if gold["h"] is not None and Fraction(gold["h"]) != pp.h:
-            continue
-        if gold["y"] != Y.to_strings():
-            continue
-        return gold
-    return None
+    """The closed-form table of the run's family, if the run is its case."""
+    gold = _load_golden({"L": "laguerre_single_seed",
+                         "J": "jacobi_single_seed"}[pp.family])
+    if (gold["indices"] != D.label() or Fraction(gold["g"]) != pp.g
+            or (gold["h"] is not None and Fraction(gold["h"]) != pp.h)
+            or gold["y"] != Y.to_strings()):
+        return None
+    return gold
 
 
 def _y_routes(pp: ParamPoint, D: IndexSet, Y: Poly) -> List[tuple]:
@@ -602,7 +598,7 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """The subcommand and its flags as attributes; None asks for help."""
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     table = dict(_COMMANDS[command][1]) if command else {}
-    values, words = dict(table), iter(argv[1:] if command else argv)
+    given, words = {}, iter(argv[1:] if command else argv)
     # a help request still reads the whole line, so a malformed word after
     # it is an error, but the values after it are not checked
     helped = False
@@ -639,14 +635,17 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
         elif value not in _CHOICES.get(flag, (value,)):
             raise ConfigError(f"--{flag}: {value!r} is not one of "
                               f"{', '.join(_CHOICES[flag])}")
-        values[flag] = value
+        given[flag] = value
     if helped:
         return None
     if command is None:
         raise ConfigError("expected a subcommand: construct, recurrence "
                           "or verify (see mipoly --help)")
+    values = {**table, **given}
     if values.get("family", "") is None:
         raise ConfigError("--family is required (L or J)")
+    if {"y", "raw-X"} <= given.keys():
+        raise ConfigError("--y and --raw-X cannot be combined")
     return SimpleNamespace(command=command, **{
         flag.replace("-", "_").lower(): v for flag, v in values.items()})
 

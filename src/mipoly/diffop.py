@@ -10,10 +10,11 @@ den monic, so equal operators have equal fields and the coefficients
 are all polynomials iff den is constant (how Theta's admissibility is
 read).  Application (``exact._apply_nums`` over den, as for each
 P_{D,n}), composition (Leibniz on the numerators, with a quotient-rule
-ladder for the derivatives of the right operand's coefficients), sums
-and left multiplication by a polynomial normalize once, at the end, by
-the lowest-terms step RatFunc shares (``exact._lowest``).  ``coeffs``
-gives the reduced nums[i]/den.
+ladder for the derivatives of the right operand's coefficients) and
+left multiplication by a polynomial normalize once, at the end, by the
+lowest-terms step RatFunc shares (``exact._lowest``).  ``coeffs`` gives
+the reduced nums[i]/den.  No command adds operators; the sums the tests'
+operator identities need are in ``tests/oracles.py``.
 
 The two Wronskian-built operators intertwine the classical family P_n
 with the multi-indexed family P_{D,n}:
@@ -51,7 +52,6 @@ over Xi and B over Xi(lambda + delta).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -119,10 +119,6 @@ class DiffOp:
     def identity() -> "DiffOp":
         return DiffOp([1])
 
-    @staticmethod
-    def derivative(order: int = 1) -> "DiffOp":
-        return DiffOp([0] * order + [1])
-
     @property
     def order(self) -> int:
         return len(self.nums) - 1
@@ -137,21 +133,6 @@ class DiffOp:
 
     def apply(self, q: Poly) -> RatFunc:
         return RatFunc(_apply_nums(self.nums, q), self.den)
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        a, b, den = self.nums, other.nums, self.den
-        if other.den != den:
-            a = [n * other.den for n in a]
-            b = [n * den for n in b]
-            den = den * other.den
-        return DiffOp([x + y for x, y in
-                       itertools.zip_longest(a, b, fillvalue=Poly.zero())], den)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp([-n for n in self.nums], self.den)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
 
     def left_mul(self, f: Poly) -> "DiffOp":
         """The operator q |-> f * (self q) for a polynomial f."""

@@ -137,10 +137,6 @@ class Poly:
     def const(c: ScalarLike) -> "Poly":
         return Poly([c])
 
-    @staticmethod
-    def monomial(c: ScalarLike, k: int) -> "Poly":
-        return Poly([0] * k + [rat(c)])
-
     # -- structure ----------------------------------------------------
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

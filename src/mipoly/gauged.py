@@ -1,4 +1,4 @@
-"""Exact Wronskians of gauged columns, and the gauged-function calculus.
+"""Exact Wronskians of gauged columns.
 
 A *gauge* is the prefactor
 
@@ -16,11 +16,12 @@ polynomial and raises :class:`NotPolynomial` if a gauge or a
 denominator is left over (``_gaugeless`` checks the gauge alone).
 
 Gauges.  The bases eta, (1-eta)/2, (1+eta)/2 of b, c, d are one table,
-``_LINEAR``, read by the ladder, the determinant's gauge, the fold and
-``GaugedFn.deriv``.  Both Wronskian entry points, ``wronskian_rows`` and
-``bordered_wronskian``, take the compensating gauge and add its
-exponents to the determinant's, so no caller multiplies a gauge on
-afterwards.
+``_LINEAR``, read by the ladder, the determinant's gauge and the fold
+(and by ``GaugedFn.deriv``, the gauged-function calculus of the tests'
+oracles in ``tests/oracles.py``).  Both Wronskian entry points,
+``wronskian_rows`` and ``bordered_wronskian``, take the compensating
+gauge and add its exponents to the determinant's, so no caller
+multiplies a gauge on afterwards.
 
 Wronskians.  For columns f_1, ..., f_m the determinant
 
@@ -55,17 +56,6 @@ the R_k and returns them as polynomial numerators over one den, with the
 gauge left over.  From the seeds they give each P_{D,n} in ``mindexed``,
 from the dual seeds the backward operator Bhat in ``diffop``.
 
-Gauged functions.  A :class:`GaugedFn` is a gauge times a
-rational-function residual, kept by ``_fold`` with b, c, d in [0, 1), so
-equality and hashing are componentwise.  The class is closed under
-d/d eta -- differentiation keeps the gauge and maps the residual r to
-
-    a*r + (b/eta) r - (c/(1-eta)) r + (d/(1+eta)) r + r'
-
--- and under multiplication (gauges add, residuals multiply); addition
-requires identical gauges and raises :class:`GaugeMismatch`.  No
-construction builds one: it is the calculus of the tests' oracles.
-
 The classical determinant identities the construction leans on --
 common-factor scaling, the nested-pair product, behaviour under a change
 of variable, and the collapse of the matrix of cofactor minors -- are
@@ -94,13 +84,8 @@ from .exact import (
     differentiate,
     poly_divmod,
     poly_lcm,
-    rat,
     rat_str,
 )
-
-
-class GaugeMismatch(ValueError):
-    """Adding gauged functions whose gauges differ."""
 
 
 class NotPolynomial(ValueError):
@@ -163,106 +148,6 @@ def _poly_nums(fraction) -> list:
     if den.degree > 0:
         raise NotPolynomial(f"denominator {den * (1 / den.lc())!r} remains")
     return nums
-
-
-class GaugedFn:
-    __slots__ = ("a", "b", "c", "d", "r")
-
-    def __init__(self, a=0, b=0, c=0, d=0, r=None):
-        r = RatFunc.of(1 if r is None else r)
-        if not isinstance(a, int):
-            ra = rat(a)
-            if ra.denominator != 1:
-                raise ValueError("exponential gauge exponent must be an integer")
-            a = int(ra)
-        (a, b, c, d), (num,), den = _fold((a, rat(b), rat(c), rat(d)),
-                                          [r.num], r.den)
-        r = RatFunc._reduced(num, den)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
-
-    def gauge(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
-    def is_zero(self) -> bool:
-        return self.r.is_zero()
-
-    # -- arithmetic -----------------------------------------------------
-    def __mul__(self, other) -> "GaugedFn":
-        if isinstance(other, GaugedFn):
-            return GaugedFn(self.a + other.a, self.b + other.b,
-                            self.c + other.c, self.d + other.d,
-                            self.r * other.r)
-        return GaugedFn(self.a, self.b, self.c, self.d, self.r * RatFunc.of(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaugedFn":
-        if isinstance(other, GaugedFn):
-            return GaugedFn(self.a - other.a, self.b - other.b,
-                            self.c - other.c, self.d - other.d,
-                            self.r / other.r)
-        return GaugedFn(self.a, self.b, self.c, self.d, self.r / RatFunc.of(other))
-
-    def __add__(self, other) -> "GaugedFn":
-        if not isinstance(other, GaugedFn):
-            other = GaugedFn(r=RatFunc.of(other))
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.gauge() != other.gauge():
-            raise GaugeMismatch(
-                f"cannot add gauges {gauge_str(self.gauge())} and "
-                f"{gauge_str(other.gauge())}")
-        return GaugedFn(self.a, self.b, self.c, self.d, self.r + other.r)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaugedFn":
-        return GaugedFn(self.a, self.b, self.c, self.d, -self.r)
-
-    def __sub__(self, other) -> "GaugedFn":
-        if not isinstance(other, GaugedFn):
-            other = GaugedFn(r=RatFunc.of(other))
-        return self + (-other)
-
-    def deriv(self) -> "GaugedFn":
-        r = self.r
-        out = r.deriv()
-        if self.a:
-            out = out + r * self.a
-        # base^e has the log-derivative e/factor (factor monic, linear)
-        for e, (factor, _) in zip((self.b, self.c, self.d), _LINEAR):
-            if e:
-                out = out + r * RatFunc(Poly.const(e), factor)
-        return GaugedFn(self.a, self.b, self.c, self.d, out)
-
-    # -- extraction -----------------------------------------------------
-    def is_gaugeless(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def as_ratfunc(self) -> RatFunc:
-        _gaugeless((self.gauge(), [self.r.num], self.r.den))
-        return self.r
-
-    def as_poly(self) -> Poly:
-        return _poly_nums((self.gauge(), [self.r.num], self.r.den))[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaugedFn):
-            return NotImplemented
-        return self.gauge() == other.gauge() and self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash(("GaugedFn", self.gauge(), self.r))
-
-    def __repr__(self) -> str:
-        return (f"GaugedFn(a={self.a}, b={self.b}, c={self.c}, d={self.d}, "
-                f"r={self.r!r})")
 
 
 def numerator_ladder(fs: Sequence[Column], kmax: int):

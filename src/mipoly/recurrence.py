@@ -34,16 +34,16 @@ expansion: q in the span makes Htilde q a polynomial, that is
 
 (``in_deformed_span``, which reads ``diffop.htilde_op``; the converse
 can fail, see there).  For parameter points where leading coefficients
-degenerate the elimination ladder is unusable; ``span_solve_deformed``
-solves the expansion as an exact linear system instead, skipping
-identically-zero basis members.
+degenerate the elimination ladder is unusable; the tests expand there
+with ``span_solve_deformed`` in ``tests/oracles.py``, an exact linear
+system that skips identically-zero basis members.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict
 
 from .diffop import DiffOp, backward_op, forward_op, htilde_op
 from .exact import ParamPoint, Poly, integrate_from_zero
@@ -122,59 +122,6 @@ def expand_in_deformed(pp: ParamPoint, D: IndexSet, q: Poly) -> Dict[int, Fracti
             f"residue {rem!r} of degree {rem.degree} below ell = {D.ell} "
             f"for {D.label()}")
     return out
-
-
-def span_solve_deformed(pp: ParamPoint, D: IndexSet, q: Poly,
-                        mmax: int) -> Dict[int, Fraction]:
-    """Solve q = sum a_m P_{D,m} exactly (degenerate-parameter safe)."""
-    indices: List[int] = []
-    cols: List[Poly] = []
-    for m in range(mmax + 1):
-        p = mi_poly(pp, D, m, check_leading=False)
-        if not p.is_zero():
-            indices.append(m)
-            cols.append(p)
-    nrows = max([q.degree + 1] + [p.degree + 1 for p in cols]
-                ) if (cols or not q.is_zero()) else 1
-    A = [[p.coeff(i) for p in cols] for i in range(nrows)]
-    b = [q.coeff(i) for i in range(nrows)]
-    sol = _solve_exact(A, b)
-    if sol is None:
-        raise NonzeroRemainder(
-            f"no expansion of the given polynomial in the first "
-            f"{mmax + 1} deformed basis members for {D.label()}")
-    return {indices[j]: sol[j] for j in range(len(indices)) if sol[j] != 0}
-
-
-def _solve_exact(A: List[List[Fraction]], b: List[Fraction]):
-    """Gaussian elimination over Q; None if inconsistent, 0 for free vars."""
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if M[i][c] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if M[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = M[i][ncols]
-    return sol
 
 
 def recurrence_from_x(pp: ParamPoint, D: IndexSet, X: Poly,

@@ -67,6 +67,8 @@ from mipoly.shiftalg import (
     star_identities_check,
 )
 
+from oracles import op_add, op_derivative
+
 F = Fraction
 
 HERMITE = ParamPoint("H")
@@ -355,17 +357,17 @@ def test_09_shift_algebra_calculus():
     # normal ordering d^j o eta^i up to i = j = 4
     for i in range(5):
         for j in range(5):
-            lhs = DiffOp.derivative(j).compose(DiffOp([ETA ** i])) \
+            lhs = op_derivative(j).compose(DiffOp([ETA ** i])) \
                 if j else DiffOp([ETA ** i])
             expect = DiffOp([])
             for r in range(min(i, j) + 1):
                 a = math.factorial(r) * math.comb(i, r) * math.comb(j, r)
-                expect = expect + DiffOp([Poly.zero()] * (j - r)
-                                         + [ETA ** (i - r) * a])
+                expect = op_add(expect, DiffOp([Poly.zero()] * (j - r)
+                                               + [ETA ** (i - r) * a]))
             assert lhs == expect, (i, j)
     # the matrix translation reverses products: d o eta lands on
     # mat(eta) mat(d) + 1, visibly distinct from the same-order product
-    d_op, eta_op = DiffOp.derivative(), DiffOp([ETA])
+    d_op, eta_op = op_derivative(), DiffOp([ETA])
     ident = OpMatrix(lambda n: {n: F(1)})
     for pp in (HERMITE, LG, JG):
         flat = flat_map(d_op.compose(eta_op), pp)

@@ -25,9 +25,10 @@ from mipoly.checks import show
 from mipoly.cli import main
 from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
-from mipoly.gauged import GaugedFn
 from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
 from mipoly.recurrence import recurrence_direct, theta_op
+
+from oracles import GaugedFn
 
 
 def run_json(capsys, argv):
@@ -151,6 +152,10 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
     _L_PAIR + ["--g", "1/0"],
     ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
      "--y", "1,1/0"],
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+     "--y", "0,1", "--raw-X", "0,1"],
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+     "--raw-X", "0,1", "--y", "0,1"],
 ])
 def test_unusable_command_lines_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -164,6 +169,14 @@ def test_zero_denominator_names_its_input(capsys):
     assert main(_L_PAIR + ["--g", "1/0"]) == 2
     assert capsys.readouterr().err == \
         "mipoly: --g: zero denominator in '1/0'\n"
+
+
+def test_y_and_raw_x_are_not_combined(capsys):
+    # --raw-X bypasses Y, so a given --y would be silently ignored
+    assert main(["recurrence", "--family", "L", "--g", "7/3", "--indices",
+                 "1I", "--raw-X", "0,17/6,1/2", "--y=0,1"]) == 2
+    assert capsys.readouterr().err == \
+        "mipoly: --y and --raw-X cannot be combined\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["construct", "-h"],
@@ -197,6 +210,21 @@ def test_recurrence_jacobi_golden(capsys):
     assert code == 0
     assert doc["results"]["golden"] == "pass"
     assert check_status(doc, "route_agreement") == "pass"
+
+
+@pytest.mark.parametrize("point, table", [
+    (["--family", "L", "--g", "2"], "laguerre_single_seed"),
+    (["--family", "J", "--g", "7/3", "--h", "9/4"], "jacobi_single_seed"),
+])
+def test_recurrence_reads_only_its_familys_table(capsys, monkeypatch, point,
+                                                 table):
+    read, load = [], cli._load_golden
+    monkeypatch.setattr(cli, "_load_golden",
+                        lambda name: read.append(name) or load(name))
+    code, doc = run_json(capsys, ["recurrence", *point, "--indices", "1I",
+                                  "--nmax", "1"])
+    assert code == 0 and doc["results"]["golden"] == "pass"
+    assert read == [table]
 
 
 def test_recurrence_no_golden_for_other_parameters(capsys):
@@ -510,21 +538,20 @@ def _clear_library_caches():
     ["verify", "--suite", "diffop", "--samples", "1", "--nmax", "1"],
     ["verify", "--suite", "all", "--samples", "1", "--nmax", "1"],
 ])
-def test_constructions_take_no_gauged_products(capsys, monkeypatch, argv):
+def test_constructions_take_no_gauged_products(capsys, argv):
     # every compensating gauge is passed into its Wronskian and every
-    # column is an (exponents, polynomial) pair, so no program path builds
-    # a GaugedFn; its calculus is left to the Leibniz oracle of test_gauged
-    assert main(argv) == 0
-    want = capsys.readouterr().out
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("GaugedFn on a construction path")
-
-    for name in ("__init__", "__mul__", "__rmul__", "__truediv__"):
-        monkeypatch.setattr(GaugedFn, name, forbidden)
+    # column is an (exponents, polynomial) pair, so no program path needs
+    # a GaugedFn; its calculus lives with the tests' oracles, and no
+    # module a command loads defines it or binds it under any name
     _clear_library_caches()
     assert main(argv) == 0
-    assert capsys.readouterr().out == want
+    capsys.readouterr()
+    holders = [name for name, module in list(sys.modules.items())
+               if (name == "mipoly" or name.startswith("mipoly."))
+               and module is not None
+               and ("GaugedFn" in vars(module)
+                    or any(obj is GaugedFn for obj in vars(module).values()))]
+    assert holders == []
 
 
 def test_verify_diffop_catches_a_corrupted_cofactor(capsys, monkeypatch):

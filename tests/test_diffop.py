@@ -34,6 +34,8 @@ from mipoly.mindexed import (
 )
 from mipoly.recurrence import theta_op
 
+from oracles import op_add, op_derivative, op_sub
+
 F = Fraction
 
 LG = ParamPoint("L", g=F(7, 3))
@@ -87,9 +89,9 @@ def test_compose_associative(S, T, U):
 
 def test_derivative_times_eta_commutator():
     # d o eta - eta o d = 1
-    d = DiffOp.derivative()
+    d = op_derivative()
     eta = DiffOp([ETA])
-    assert d.compose(eta) - eta.compose(d) == DiffOp.identity()
+    assert op_sub(d.compose(eta), eta.compose(d)) == DiffOp.identity()
 
 
 def test_normal_ordering_closed_form():
@@ -97,13 +99,13 @@ def test_normal_ordering_closed_form():
     import math
     for i in range(4):
         for j in range(4):
-            lhs = DiffOp.derivative(j).compose(DiffOp([ETA ** i])) \
+            lhs = op_derivative(j).compose(DiffOp([ETA ** i])) \
                 if j else DiffOp([ETA ** i])
             expect = DiffOp([])
             for r in range(min(i, j) + 1):
                 a = math.factorial(r) * math.comb(i, r) * math.comb(j, r)
                 term = DiffOp([Poly.zero()] * (j - r) + [ETA ** (i - r) * a])
-                expect = expect + term
+                expect = op_add(expect, term)
             assert lhs == expect, (i, j)
 
 

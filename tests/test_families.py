@@ -32,7 +32,8 @@ from mipoly.families import (
     virtual_energy,
     virtual_leading,
 )
-from mipoly.gauged import GaugedFn
+
+from oracles import GaugedFn
 
 F = Fraction
 
@@ -57,7 +58,7 @@ def laguerre_series(alpha, n):
     for k in range(n + 1):
         c = F((-1) ** k, 1) * pochhammer(alpha + k + 1, n - k) / (
             _fact(n - k) * _fact(k))
-        total = total + Poly.monomial(c, k)
+        total = total + Poly([0] * k + [c])
     return total
 
 

@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from mipoly.exact import ETA, Poly, RatFunc, _apply_nums, differentiate
 from mipoly.gauged import (
-    GaugedFn,
-    GaugeMismatch,
     NotPolynomial,
     _bordered_det,
     _eliminate,
@@ -36,6 +34,8 @@ from mipoly.gauged import (
     wronskian_identities_check,
     wronskian_rows,
 )
+
+from oracles import GaugedFn, GaugeMismatch
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 

@@ -18,7 +18,7 @@ from mipoly.families import (
     delta_shift,
     twisted,
 )
-from mipoly.gauged import GaugedFn, wronskian
+from mipoly.gauged import wronskian
 from mipoly.mindexed import (
     HALF,
     DegenerateLeading,
@@ -34,6 +34,8 @@ from mipoly.mindexed import (
     xi_poly,
     _xi_exponents,
 )
+
+from oracles import GaugedFn
 
 F = Fraction
 

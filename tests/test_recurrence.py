@@ -34,11 +34,12 @@ from mipoly.recurrence import (
     recurrence_direct,
     recurrence_order,
     recurrence_via_theta,
-    span_solve_deformed,
     theta_from_x,
     theta_op,
     x_from_y,
 )
+
+from oracles import span_solve_deformed
 
 F = Fraction
 
