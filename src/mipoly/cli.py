@@ -18,7 +18,9 @@ Every check is a ``checks.Check`` row; a failing one names its first
 witness (``checks.agree``).  Exit status: 0 when every check passes, 1
 when a mathematical check fails, 2 when the configuration is unusable
 or the ``--latex FILE`` fragment (formatting only, written before
-stdout) cannot be written.  ``--format text`` prints a terse summary.
+stdout) cannot be written, and ``STDOUT_CLOSED`` (141) when stdout is
+closed before the output is written whole; that run prints no
+traceback.  ``--format text`` prints a terse summary.
 
 The command line is one table of long flags per subcommand, matched
 by ``_flag``: ``--flag value`` or ``--flag=value``, a value may start
@@ -29,7 +31,11 @@ stdout), also after ``-h``/``--help``, which otherwise prints the usage
 text.  Each subcommand
 imports the layers it runs: ``construct`` loads none of ``diffop``,
 ``recurrence`` or ``shiftalg``.  A JSON document is written in batches
-of encoder chunks, never held whole as one string.
+of encoder chunks, never held whole as one string.  ``construct`` keeps
+each member as it computed it (n, the cached P_(D,n), its predicted
+leading coefficient and pi_D(n)); the member's row, with its
+coefficient strings, is formatted only when the writer reaches it and
+dropped once written, after the checks, which sort first.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -127,6 +134,27 @@ def _load_golden(name: str) -> dict:
 # -- construct ---------------------------------------------------------------
 
 
+class _Member:
+    """A member as construct computed it: n, the cached P_(D,n), and its
+    predicted leading coefficient and pi_D(n)."""
+
+    __slots__ = ("n", "p", "leading", "pi")
+
+    def __init__(self, n: int, p: Poly, leading: Fraction, pi: Fraction):
+        self.n, self.p, self.leading, self.pi = n, p, leading, pi
+
+
+def _member_row(member: _Member) -> dict:
+    """The row {n, coeffs, predicted_leading, pi} of a member; as the
+    encoder's default hook, a row is built when the writer reaches it
+    and dropped once it is written."""
+    if not isinstance(member, _Member):
+        raise TypeError(f"{type(member).__name__} is not JSON serializable")
+    return {"n": member.n, "coeffs": member.p.to_strings(),
+            "predicted_leading": rat_str(member.leading),
+            "pi": rat_str(member.pi)}
+
+
 def cmd_construct(args) -> Tuple[dict, int]:
     pp, D = _parse_point_and_set(args)
     checks: Report = []
@@ -139,12 +167,8 @@ def cmd_construct(args) -> Tuple[dict, int]:
         members = []
         for n in range(args.nmax + 1):
             p = mi_poly(pp, D, n, check_leading=False)
-            members.append({
-                "n": n,
-                "coeffs": p.to_strings(),
-                "predicted_leading": rat_str(p_leading(pp, D, n)),
-                "pi": rat_str(pi_factor(pp, D, n)),
-            })
+            members.append(_Member(n, p, p_leading(pp, D, n),
+                                   pi_factor(pp, D, n)))
             degrees.append((f"deg P_(D,{n})", D.ell + n, p.degree))
         results["members"] = members
         checks.append(agree(
@@ -489,7 +513,7 @@ def _latex_render(doc: dict) -> str:
     if cfg["command"] == "construct" and "xi" in res:
         lines.append("\\begin{align*}")
         lines.append(f"  \\Xi(\\eta) &= {_latex_poly(res['xi'])} \\\\")
-        for row in res.get("members", ()):
+        for row in map(_member_row, res.get("members", ())):
             lines.append(f"  P_{{{row['n']}}}(\\eta) &= "
                          f"{_latex_poly(row['coeffs'])} \\\\")
         lines.append("\\end{align*}")
@@ -523,8 +547,10 @@ _BATCH = 256
 
 
 def _write_json(doc: dict) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + "\n"."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    with each construct member in its row."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              default=_member_row).iterencode(doc)
     for batch in iter(lambda: "".join(itertools.islice(chunks, _BATCH)), ""):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
@@ -650,17 +676,29 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
         flag.replace("-", "_").lower(): v for flag, v in values.items()})
 
 
+# exit status when stdout is closed before the output is written whole:
+# the shell's status for a writer whose reader left (128 + SIGPIPE)
+STDOUT_CLOSED = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args is None:
             print(_USAGE)
-            return 0
-        doc, code = _COMMANDS[args.command][0](args)
-        _emit(doc, args)
+            code = 0
+        else:
+            doc, code = _COMMANDS[args.command][0](args)
+            _emit(doc, args)
+        sys.stdout.flush()
     except ConfigError as exc:
         print(f"mipoly: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull at exit, so the
+        # interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
     return code
 
 

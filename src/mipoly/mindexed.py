@@ -219,13 +219,19 @@ def mi_poly(pp: ParamPoint, D: IndexSet, n: int,
 
 
 @functools.lru_cache(maxsize=None)
+def _virtual_energies(pp: ParamPoint, D: IndexSet) -> Tuple[Fraction, ...]:
+    """Etilde_{d_j} of every seed, once per (point, index set)."""
+    return tuple(virtual_energy(pp, t, v) for t, v in D.entries())
+
+
+@functools.lru_cache(maxsize=None)
 def pi_factor(pp: ParamPoint, D: IndexSet, n: int) -> Fraction:
     """pi_D(n) = prod_j (E_n - Etilde_{d_j})."""
     _check(pp, D)
     out = Fraction(1)
     En = energy(pp, n)
-    for t, v in D.entries():
-        out *= En - virtual_energy(pp, t, v)
+    for e in _virtual_energies(pp, D):
+        out *= En - e
     return out
 
 

@@ -26,6 +26,8 @@ independent routes to the r_{n,k} live here:
 The third route (the index-shift action of Theta) is in
 :mod:`mipoly.shiftalg` and consumes the Theta built here; ``theta_op``
 is cached, so both routes share one Theta per (point, index set, Y).
+``x_from_y`` is cached too: X is the input every route starts from,
+built once per (point, index set, Y) rather than once per row.
 
 Membership of a polynomial in span{P_{D,n}} has a test without any
 expansion: q in the span makes Htilde q a polynomial, that is
@@ -56,8 +58,13 @@ class NonzeroRemainder(ValueError):
     """An expansion in the deformed basis left a nonzero residue."""
 
 
+@functools.lru_cache(maxsize=None)
 def x_from_y(pp: ParamPoint, D: IndexSet, Y: Poly) -> Poly:
-    """X = integral from 0 of Xi_D * Y; the recurrence has order deg X."""
+    """X = integral from 0 of Xi_D * Y; the recurrence has order deg X.
+
+    Cached: one X serves the document, Theta and every row of the
+    direct route.
+    """
     if Y.is_zero():
         raise ValueError("the seed polynomial Y must be nonzero")
     return integrate_from_zero(xi_poly(pp, D) * Y)

@@ -304,6 +304,41 @@ def test_recurrence_builds_theta_once(capsys):
     assert theta_op.cache_info().misses == 1
 
 
+def _counted(monkeypatch, module, name):
+    """Patch module.name to count its calls; returns the list of calls."""
+    calls, inner = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_recurrence_builds_x_once(capsys, monkeypatch):
+    # the document, Theta and every row of the direct route share one X
+    import mipoly.recurrence as recurrence
+    _clear_library_caches()
+    builds = _counted(monkeypatch, recurrence, "integrate_from_zero")
+    code, _ = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
+                                "--indices", "1I,2II", "--y", "0,1",
+                                "--nmax", "3"])
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_construct_takes_each_virtual_energy_once(capsys, monkeypatch):
+    # pi_D(n) at every n reads the seeds' energies, computed once per set
+    _clear_library_caches()
+    energies = _counted(monkeypatch, mindexed, "virtual_energy")
+    code, _ = run_json(capsys, ["construct", "--family", "J", "--g", "7/3",
+                                "--h", "9/4", "--indices", "1I,3I,2II",
+                                "--nmax", "20"])
+    assert code == 0
+    assert len(energies) == 3
+
+
 def test_recurrence_names_identically_zero_member(capsys):
     # P_(D,4) vanishes identically here; the genericity check through
     # nmax + L runs before any route and names the cause
@@ -601,21 +636,24 @@ def _perfbench_module(name):
 
 
 def test_benchmark_digests_still_match(capsys):
-    # every 25th item either benchmark workload can draw, against the
-    # stdout sha256 recorded in perfbench/digests.json: a change of
-    # representation that alters output fails here first
+    # every item either benchmark workload can draw, against the stdout
+    # sha256 recorded in perfbench/digests.json: a change of
+    # representation that alters output fails here first.  Each item
+    # starts from empty caches, as a fresh interpreter does, so a field
+    # formatted late that reads a cache no earlier step filled fails too
     workloads = _perfbench_module("workloads")
     digests = json.loads((Path(workloads.__file__).parent
                           / "digests.json").read_text())
     checked = 0
     for workload in ("recurrence-cli", "construct-cli"):
-        for argv in workloads.cli_universe(workload)[::25]:
+        for argv in workloads.cli_universe(workload):
+            _clear_library_caches()
             assert main(argv) == 0, argv
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == \
                 digests[workload][" ".join(argv)], argv
             checked += 1
-    assert checked >= 15
+    assert checked == sum(len(digests[w]) for w in digests) == 414
 
 
 def test_benchmark_trace_finds_every_declared_figure(monkeypatch):
@@ -792,11 +830,116 @@ def test_json_is_written_in_batches(monkeypatch):
                             "--indices", "1II,2II", "--nmax", "40"])
     doc, code = cli.cmd_construct(args)
     assert code == 0
-    chunks = len(list(
-        json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)))
+    # json.dumps's encoder, with the writer's hook that formats members
+    encoder = json.JSONEncoder(indent=2, sort_keys=True,
+                               default=cli._member_row)
+    chunks = len(list(encoder.iterencode(doc)))
     assert chunks > cli._BATCH
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     cli._emit(doc, args)
-    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(writes) == encoder.encode(doc) + "\n"
     assert len(writes) <= math.ceil(chunks / cli._BATCH) + 1
+
+
+def test_construct_formats_each_member_when_the_writer_reaches_it(
+        monkeypatch):
+    # the checks go out in the first batch, and a member's coefficient
+    # strings are built only when the writer reaches its row: at each
+    # write, no member is formatted whose row the text so far does not begin
+    pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1II,2II")
+    events = []
+    to_strings = Poly.to_strings
+
+    def recorded(self):
+        events.append(("strings", self))
+        return to_strings(self)
+
+    monkeypatch.setattr(Poly, "to_strings", recorded)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(
+        write=lambda text: events.append(("write", text)),
+        flush=lambda: None))
+    assert main(["construct", "--family", "L", "--g", "7/3", "--indices",
+                 "1II,2II", "--nmax", "40"]) == 0
+    monkeypatch.undo()
+    members = [mi_poly(pp, D, n, check_leading=False) for n in range(41)]
+
+    def rows_begun(text):
+        start = text.find('"members": [')
+        return 0 if start < 0 else text.count("{", start)
+
+    written, formatted = "", 0
+    for kind, what in events:
+        if kind == "strings":
+            formatted += any(what is p for p in members)
+        else:
+            if not written:   # the first batch holds every check
+                assert what.startswith('{\n  "checks": [')
+                assert '\n  "config": {' in what
+            written += what
+            assert formatted <= rows_begun(written), len(written)
+    assert formatted == rows_begun(written) == len(members)
+
+
+# sha256 of stdout for --format json, text and latex; --latex FILE writes
+# the latex bytes to FILE and prints the json ones
+_CONSTRUCT_PINNED = [
+    (["--family", "L", "--g", "7/3", "--indices", "1II,2II", "--nmax", "40"],
+     0, "ff3b57f5e1db66db47b0357d1934955c3f597ee5eb0a25dff0bf41676357ac8f",
+     "6cc265d643876fe0e3a659af180fc940175825304fbed445587924f30eed1a8f",
+     "19c5693cbe9a058aaf214b954ca5ceb34071d017a2aad076fb69fe7b9512d45f"),
+    # members present, checks failing
+    (["--family", "L", "--g", "-3/2", "--indices", "2II"],
+     1, "b0d86c3dd804b38b816e5fc6daab2a7f5fe27bb93c04a2a3a35454b5a42f83f6",
+     "c6f9953e1a4edd1294781a3777cb8e78ffeea2c5c5e73697367f7ef738af0baf",
+     "82cf8c0796409dd2becabe9f9ff4615e3775a820db7311aced76c38a720faaa4"),
+    # no members
+    (["--family", "J", "--g", "-1", "--h", "2", "--indices", "1I",
+      "--nmax", "1"],
+     1, "e9fbc1c47190a5b59aebfd40a1f712b14a326f9162322ce070651d653cb57095",
+     "92ef401a4124225b738cc3d8d686c98a56f487894051e2be440a49226c876670",
+     "2e9ea274da3d855c629f5ddb15d550b4b21b4b3a1cea91e409a5e944a6a2e554"),
+    # the golden factorization
+    (["--family", "L", "--g", "-1/2", "--indices", "1I,2II"],
+     1, "149b7e3f3428fb735f7c51f2e776e71dff026451c6b8ab584f0e9260660d871b",
+     "f03f9d90d2e61e481f65348fb83b77aae3e051789c2cd8715489f8dccc441025",
+     "3e2f4d501b8ed6ce3d3a90c61722b0733f2bfbb2850161d5ad0cf6ee6d286439"),
+]
+
+
+@pytest.mark.parametrize("argv,status,json_sha,text_sha,latex_sha",
+                         _CONSTRUCT_PINNED, ids=["L-7/3", "L-3/2", "J-1",
+                                                 "L-1/2"])
+def test_construct_output_is_pinned(capsys, tmp_path, argv, status,
+                                    json_sha, text_sha, latex_sha):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    _clear_library_caches()
+    for fmt, want in (("json", json_sha), ("text", text_sha),
+                      ("latex", latex_sha)):
+        assert main(["construct", *argv, "--format", fmt]) == status
+        assert sha(capsys.readouterr().out) == want, fmt
+    target = tmp_path / "fragment.tex"
+    assert main(["construct", *argv, "--latex", str(target)]) == status
+    assert sha(capsys.readouterr().out) == json_sha
+    assert sha(target.read_text()) == latex_sha
+
+
+@pytest.mark.parametrize("nmax", ["1", "40"])
+def test_closed_stdout_exits_quietly(nmax):
+    # at nmax 1 the document fits the stdout buffer and the closed pipe
+    # shows at the flush; at nmax 40 it shows in the middle of the writes
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mipoly.cli", "construct", "--family",
+             "L", "--g", "7/3", "--indices", "1I", "--nmax", nmax],
+            stdout=write, stderr=subprocess.PIPE, env=_env_with_src(),
+            text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert cli.STDOUT_CLOSED not in (0, 1, 2)
+    assert proc.returncode == cli.STDOUT_CLOSED
+    assert proc.stderr == ""   # no traceback, no "Exception ignored"
