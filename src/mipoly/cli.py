@@ -30,12 +30,12 @@ line is a ``ConfigError`` (``mipoly: ...`` on stderr, exit 2, empty
 stdout), also after ``-h``/``--help``, which otherwise prints the usage
 text.  Each subcommand
 imports the layers it runs: ``construct`` loads none of ``diffop``,
-``recurrence`` or ``shiftalg``.  A JSON document is written in batches
-of encoder chunks, never held whole as one string.  ``construct`` keeps
-each member as it computed it (n, the cached P_(D,n), its predicted
-leading coefficient and pi_D(n)); the member's row, with its
-coefficient strings, is formatted only when the writer reaches it and
-dropped once written, after the checks, which sort first.
+``recurrence`` or ``shiftalg``.  A document holds a ``Poly`` wherever
+it prints a polynomial (Xi, X, each construct member's P_(D,n)): the
+JSON encoder's default hook formats it when the writer reaches it, and
+the LaTeX lines read its coefficients.  Every format, to stdout or the
+``--latex FILE`` handle, goes through one writer that writes once
+``_BATCH`` characters have gathered, so no output is held whole.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .checks import Check, Report, agree
@@ -134,41 +134,22 @@ def _load_golden(name: str) -> dict:
 # -- construct ---------------------------------------------------------------
 
 
-class _Member:
-    """A member as construct computed it: n, the cached P_(D,n), and its
-    predicted leading coefficient and pi_D(n)."""
-
-    __slots__ = ("n", "p", "leading", "pi")
-
-    def __init__(self, n: int, p: Poly, leading: Fraction, pi: Fraction):
-        self.n, self.p, self.leading, self.pi = n, p, leading, pi
-
-
-def _member_row(member: _Member) -> dict:
-    """The row {n, coeffs, predicted_leading, pi} of a member; as the
-    encoder's default hook, a row is built when the writer reaches it
-    and dropped once it is written."""
-    if not isinstance(member, _Member):
-        raise TypeError(f"{type(member).__name__} is not JSON serializable")
-    return {"n": member.n, "coeffs": member.p.to_strings(),
-            "predicted_leading": rat_str(member.leading),
-            "pi": rat_str(member.pi)}
-
-
 def cmd_construct(args) -> Tuple[dict, int]:
     pp, D = _parse_point_and_set(args)
     checks: Report = []
     results: dict = {"ell": D.ell, "indices": D.label()}
     try:
         xi = xi_poly(pp, D, check_leading=False)
-        results["xi"] = xi.to_strings()
+        results["xi"] = xi
         results["xi_leading"] = rat_str(xi_leading(pp, D))
         degrees = [("deg Xi", D.ell, xi.degree)]
         members = []
         for n in range(args.nmax + 1):
             p = mi_poly(pp, D, n, check_leading=False)
-            members.append(_Member(n, p, p_leading(pp, D, n),
-                                   pi_factor(pp, D, n)))
+            members.append({
+                "n": n, "coeffs": p,
+                "predicted_leading": rat_str(p_leading(pp, D, n)),
+                "pi": rat_str(pi_factor(pp, D, n))})
             degrees.append((f"deg P_(D,{n})", D.ell + n, p.degree))
         results["members"] = members
         checks.append(agree(
@@ -187,10 +168,11 @@ def cmd_construct(args) -> Tuple[dict, int]:
         golden = _load_golden("degenerate_quartics")
         want = golden["xi"].get(rat_str(pp.g))
         if want is not None:
+            got = results["xi"].to_strings() if "xi" in results else None
             checks.append(agree(
                 "degenerate_factorization",
                 f"known factorization at g = {rat_str(pp.g)}",
-                [("Xi", want, results.get("xi"))]))
+                [("Xi", want, got)]))
 
     return _document(args, results, checks)
 
@@ -255,7 +237,7 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
     try:
         if args.raw_x is not None:
             X = _parse_poly(args.raw_x, "--raw-X")
-            results["x"] = X.to_strings()
+            results["x"] = X
             try:
                 theta = theta_from_x(pp, D, X)
             except NotPolynomial as exc:
@@ -271,7 +253,7 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
                                                pp, D, theta))]
         else:
             Y = _parse_poly(args.y, "--y")
-            results["x"] = x_from_y(pp, D, Y).to_strings()
+            results["x"] = x_from_y(pp, D, Y)
             L = recurrence_order(D, Y)
             detail = "direct, operator and matrix routes"
             routes = _y_routes(pp, D, Y)
@@ -476,99 +458,110 @@ def _latex_rat(x: Fraction) -> str:
     return f"{sign}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
 
 
-def _latex_poly(coeffs: List[str], var: str = "\\eta") -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[k])
+def _latex_poly(p: Poly, var: str = "\\eta") -> str:
+    out = ""
+    for k, c in reversed(list(enumerate(p.coeffs))):
         if c == 0:
             continue
-        if k == 0:
-            body = _latex_rat(abs(c))
+        mag = "" if k and abs(c) == 1 else _latex_rat(abs(c))
+        power = "" if k == 0 else var if k == 1 else f"{var}^{{{k}}}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {mag}{power}"
         else:
-            mag = "" if abs(c) == 1 else _latex_rat(abs(c))
-            power = var if k == 1 else f"{var}^{{{k}}}"
-            body = f"{mag}{power}"
-        terms.append(("-" if c < 0 else "+", body))
-    if not terms:
-        return "0"
-    head_sign, head = terms[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+            out = f"{'-' if c < 0 else ''}{mag}{power}"
+    return out or "0"
 
 
-def _latex_render(doc: dict) -> str:
-    """verify's suite table, or the formulas a construct or recurrence
-    run got to, then one "% FAIL" comment per failing check."""
+def _latex_render(doc: dict) -> Iterator[str]:
+    """The lines of verify's suite table, or of the formulas a construct
+    or recurrence run got to, then one "% FAIL" comment per failing
+    check."""
     cfg, res = doc["config"], doc["results"]
-    lines = [f"% mipoly {cfg['command']} v{doc['version']}"]
+    yield f"% mipoly {cfg['command']} v{doc['version']}"
     if cfg["command"] == "verify":
-        lines.append("\\begin{tabular}{lrr}")
-        lines.append("suite & pass & fail \\\\")
+        yield "\\begin{tabular}{lrr}"
+        yield "suite & pass & fail \\\\"
         for name, counts in res["suites"].items():
-            lines.append(f"{name} & {counts['pass']} & {counts['fail']} \\\\")
-        lines.append("\\end{tabular}")
-        return "\n".join(lines)
+            yield f"{name} & {counts['pass']} & {counts['fail']} \\\\"
+        yield "\\end{tabular}"
+        return
     if cfg["command"] == "construct" and "xi" in res:
-        lines.append("\\begin{align*}")
-        lines.append(f"  \\Xi(\\eta) &= {_latex_poly(res['xi'])} \\\\")
-        for row in map(_member_row, res.get("members", ())):
-            lines.append(f"  P_{{{row['n']}}}(\\eta) &= "
-                         f"{_latex_poly(row['coeffs'])} \\\\")
-        lines.append("\\end{align*}")
+        yield "\\begin{align*}"
+        yield f"  \\Xi(\\eta) &= {_latex_poly(res['xi'])} \\\\"
+        for row in res.get("members", ()):
+            yield (f"  P_{{{row['n']}}}(\\eta) &= "
+                   f"{_latex_poly(row['coeffs'])} \\\\")
+        yield "\\end{align*}"
     elif cfg["command"] == "recurrence" and "rows" in res:
-        lines.append("\\begin{align*}")
+        yield "\\begin{align*}"
         if "x" in res:
-            lines.append(f"  X(\\eta) &= {_latex_poly(res['x'])} \\\\")
+            yield f"  X(\\eta) &= {_latex_poly(res['x'])} \\\\"
         for row in res["rows"]:
             body = ", \\quad ".join(
                 f"r_{{{row['n']},{k}}} = {_latex_rat(Fraction(v))}"
                 for k, v in row["coeffs"])
-            lines.append(f"  & {body} \\\\")
-        lines.append("\\end{align*}")
-    lines += [f"% FAIL {check['name']} -- {check['detail']}"
-              for check in doc["checks"] if check["status"] == "fail"]
-    return "\n".join(lines)
-
-
-def _text_render(doc: dict) -> str:
-    lines = [f"mipoly {doc['config']['command']} v{doc['version']}"]
+            yield f"  & {body} \\\\"
+        yield "\\end{align*}"
     for check in doc["checks"]:
-        lines.append(f"{check['status'].upper():4} {check['name']}"
-                     f" -- {check['detail']}")
-    return "\n".join(lines)
+        if check["status"] == "fail":
+            yield f"% FAIL {check['name']} -- {check['detail']}"
 
 
-# encoder chunks joined per stdout write: the document is never held
-# whole, and one write per chunk would be one system call per chunk on
-# an unbuffered stdout (PYTHONUNBUFFERED)
-_BATCH = 256
+def _text_render(doc: dict) -> Iterator[str]:
+    yield f"mipoly {doc['config']['command']} v{doc['version']}"
+    for check in doc["checks"]:
+        yield (f"{check['status'].upper():4} {check['name']}"
+               f" -- {check['detail']}")
 
 
-def _write_json(doc: dict) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    with each construct member in its row."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True,
-                              default=_member_row).iterencode(doc)
-    for batch in iter(lambda: "".join(itertools.islice(chunks, _BATCH)), ""):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+def _poly_strings(p: Poly) -> list:
+    """The encoder's default hook: a polynomial's coefficient strings,
+    built when the writer reaches it and dropped once written."""
+    if not isinstance(p, Poly):
+        raise TypeError(f"{type(p).__name__} is not JSON serializable")
+    return p.to_strings()
+
+
+def _pieces(doc: dict, fmt: str) -> Iterator[str]:
+    """doc in fmt, piece by piece: json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n" a token at a time, or the lines of text or
+    LaTeX."""
+    if fmt == "json":
+        encoder = json.JSONEncoder(indent=2, sort_keys=True,
+                                   default=_poly_strings)
+        return itertools.chain(encoder.iterencode(doc), ["\n"])
+    render = _text_render if fmt == "text" else _latex_render
+    return (line + "\n" for line in render(doc))
+
+
+# characters gathered per write: no output is held whole, and one write
+# per piece would be one system call per piece on an unbuffered stdout
+# (PYTHONUNBUFFERED)
+_BATCH = 4096
+
+
+def _write(pieces: Iterable[str], out) -> None:
+    """Write the pieces to out in order, once at least _BATCH characters
+    have gathered, so no write exceeds _BATCH plus one piece."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            out.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        out.write("".join(batch))
 
 
 def _emit(doc: dict, args) -> None:
     if args.latex:
         try:
             with open(args.latex, "w", encoding="utf-8") as fh:
-                fh.write(_latex_render(doc) + "\n")
+                _write(_pieces(doc, "latex"), fh)
         except OSError as exc:
             raise ConfigError(f"--latex: {exc}") from None
-    if args.format == "json":
-        _write_json(doc)
-    elif args.format == "text":
-        print(_text_render(doc))
-    else:
-        print(_latex_render(doc))
+    _write(_pieces(doc, args.format), sys.stdout)
 
 
 # -- entry points ------------------------------------------------------------
@@ -672,6 +665,10 @@ def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
         raise ConfigError("--family is required (L or J)")
     if {"y", "raw-X"} <= given.keys():
         raise ConfigError("--y and --raw-X cannot be combined")
+    # verify's cross-term checks have no case at nmax 0
+    if command == "verify" and values["nmax"] < 1:
+        raise ConfigError(
+            f"--nmax must be >= 1 for verify, got {values['nmax']}")
     return SimpleNamespace(command=command, **{
         flag.replace("-", "_").lower(): v for flag, v in values.items()})
 

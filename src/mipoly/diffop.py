@@ -9,8 +9,9 @@ built from polynomial numerators over one den and kept in lowest terms,
 den monic, so equal operators have equal fields and the coefficients
 are all polynomials iff den is constant (how Theta's admissibility is
 read).  Application (``exact._apply_nums`` over den, as for each
-P_{D,n}), composition (Leibniz on the numerators, with a quotient-rule
-ladder for the derivatives of the right operand's coefficients) and
+P_{D,n}), composition (Leibniz on the numerators; the derivatives of
+the right operand's coefficients come from ``gauged._ladder`` for the
+gauge 1/den) and
 left multiplication by a polynomial normalize once, at the end, by the
 lowest-terms step RatFunc shares (``exact._lowest``).  ``coeffs`` gives
 the reduced nums[i]/den.  No command adds operators; the sums the tests'
@@ -54,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .exact import (
     ONE,
@@ -72,7 +73,8 @@ from .families import (
     schrodinger_c2,
     shifted_params,
 )
-from .gauged import _gaugeless, _poly_nums, bordered_wronskian, wronskian_rows
+from .gauged import (_gaugeless, _ladder, _poly_nums, bordered_wronskian,
+                     wronskian_rows)
 from .mindexed import (
     HALF,
     IndexSet,
@@ -85,18 +87,6 @@ from .mindexed import (
 
 class DenominatorEscape(ValueError):
     """Bhat's cofactors leave a power of a gauge base over Xi^M."""
-
-
-def _quotient_ladder(b: Poly, t: Poly, m: int) -> List[Poly]:
-    """beta_0, ..., beta_m with (b/t)^(k) = beta_k / t^(k+1)."""
-    out = [b]
-    dt = differentiate(t)
-    for k in range(m):
-        beta = differentiate(out[-1])
-        if not dt.is_zero():
-            beta = t * beta - (k + 1) * dt * out[-1]
-        out.append(beta)
-    return out
 
 
 class DiffOp:
@@ -149,7 +139,9 @@ class DiffOp:
         if self.is_zero() or other.is_zero():
             return DiffOp()
         top, t = self.order, other.den
-        ladders = [_quotient_ladder(b, t, top) for b in other.nums]
+        # the gauge 1/t: w = t, E = -t', so q_(k+1) = t q_k' - (k+1) t' q_k
+        dt = differentiate(t)
+        ladders = [_ladder(b, -dt, t, top) for b in other.nums]
         tp = [Poly.one()]
         for _ in range(top + 1):
             tp.append(tp[-1] * t)

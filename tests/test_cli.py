@@ -7,7 +7,6 @@ shell user sees; stdout is parsed back as JSON and compared exactly.
 import hashlib
 import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -156,6 +155,7 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
      "--y", "0,1", "--raw-X", "0,1"],
     ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
      "--raw-X", "0,1", "--y", "0,1"],
+    ["verify", "--nmax", "0"],
 ])
 def test_unusable_command_lines_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -459,13 +459,16 @@ def test_verify_bnk(capsys):
 ])
 def test_verify_row_with_no_cases_fails(capsys, suite, name):
     # at nmax 0 there is no 1 <= k <= n <= 0: such a row checks nothing,
-    # so it must not pass
-    code, doc = run_json(capsys, ["verify", "--suite", suite,
-                                  "--nmax", "0", "--samples", "1"])
-    assert code == 1
-    rows = [c for c in doc["checks"] if c["name"] == name]
-    assert rows and all(r["status"] == "fail" for r in rows)
-    assert all(r["detail"].endswith("; no cases checked") for r in rows)
+    # so it must not pass, and the command line refuses nmax 0 for verify
+    # (construct and recurrence keep it)
+    assert main(["verify", "--suite", suite, "--nmax", "0"]) == 2
+    assert capsys.readouterr() == \
+        ("", "mipoly: --nmax must be >= 1 for verify, got 0\n")
+    rows = [row for row in cli._SUITES[suite](
+                SimpleNamespace(nmax=0, samples=1, seed=0))
+            if f"{suite}/{row.name}" == name]
+    assert rows and not any(row.ok for row in rows)
+    assert all(row.detail.endswith("; no cases checked") for row in rows)
 
 
 def test_verify_shiftalg_rows_name_their_point(capsys):
@@ -589,7 +592,7 @@ def test_constructions_take_no_gauged_products(capsys, argv):
     assert holders == []
 
 
-def test_verify_diffop_catches_a_corrupted_cofactor(capsys, monkeypatch):
+def test_verify_diffop_catches_a_corrupted_cofactor(monkeypatch):
     pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
 
     def corrupted(pp, D):
@@ -597,7 +600,9 @@ def test_verify_diffop_catches_a_corrupted_cofactor(capsys, monkeypatch):
         nums[0] = 2 * nums[0]   # P_(D,0) = R_0
         return tuple(nums)
 
-    for nmax in ("0", "2"):
+    # the command line refuses verify at nmax 0, so the command runs
+    # directly
+    for nmax in (0, 2):
         _clear_member_caches()
         try:
             p0 = mi_poly(pp, D, 0)
@@ -605,8 +610,9 @@ def test_verify_diffop_catches_a_corrupted_cofactor(capsys, monkeypatch):
             monkeypatch.setattr(mindexed, "_seed_wronskian", corrupted)
             # at n >= 1 the corrupted members leave the image of Fhat;
             # Bhat of them is no polynomial, a failing case of its own
-            code, doc = run_json(capsys, ["verify", "--suite", "diffop",
-                                          "--samples", "1", "--nmax", nmax])
+            doc, code = cli.cmd_verify(SimpleNamespace(
+                command="verify", suite="diffop", nmax=nmax, samples=1,
+                seed=0, format="json", latex=None))
         finally:
             monkeypatch.undo()
             _clear_member_caches()
@@ -824,22 +830,22 @@ print(built, ran)
 
 
 def test_json_is_written_in_batches(monkeypatch):
-    # larger than one batch: the text is json.dumps's, in at most one
-    # write per batch of encoder chunks plus the final newline
+    # larger than one batch: the text is json.dumps's, and every write
+    # but the last holds at least _BATCH characters
     args = cli._parse_args(["construct", "--family", "L", "--g", "7/3",
                             "--indices", "1II,2II", "--nmax", "40"])
     doc, code = cli.cmd_construct(args)
     assert code == 0
-    # json.dumps's encoder, with the writer's hook that formats members
+    # json.dumps's encoder, with the writer's hook that formats polynomials
     encoder = json.JSONEncoder(indent=2, sort_keys=True,
-                               default=cli._member_row)
-    chunks = len(list(encoder.iterencode(doc)))
-    assert chunks > cli._BATCH
+                               default=cli._poly_strings)
+    text = encoder.encode(doc) + "\n"
+    assert len(text) > cli._BATCH
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     cli._emit(doc, args)
-    assert "".join(writes) == encoder.encode(doc) + "\n"
-    assert len(writes) <= math.ceil(chunks / cli._BATCH) + 1
+    assert "".join(writes) == text
+    assert len(writes) <= len(text) // cli._BATCH + 1
 
 
 def test_construct_formats_each_member_when_the_writer_reaches_it(
@@ -907,23 +913,106 @@ _CONSTRUCT_PINNED = [
 ]
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_pinned(capsys, tmp_path, argv, status, json_sha, text_sha,
+                   latex_sha):
+    _clear_library_caches()
+    for fmt, want in (("json", json_sha), ("text", text_sha),
+                      ("latex", latex_sha)):
+        assert main([*argv, "--format", fmt]) == status
+        assert _sha(capsys.readouterr().out) == want, fmt
+    target = tmp_path / "fragment.tex"
+    assert main([*argv, "--latex", str(target)]) == status
+    assert _sha(capsys.readouterr().out) == json_sha
+    assert _sha(target.read_text()) == latex_sha
+
+
 @pytest.mark.parametrize("argv,status,json_sha,text_sha,latex_sha",
                          _CONSTRUCT_PINNED, ids=["L-7/3", "L-3/2", "J-1",
                                                  "L-1/2"])
 def test_construct_output_is_pinned(capsys, tmp_path, argv, status,
                                     json_sha, text_sha, latex_sha):
-    def sha(text):
-        return hashlib.sha256(text.encode()).hexdigest()
+    _assert_pinned(capsys, tmp_path, ["construct", *argv], status,
+                   json_sha, text_sha, latex_sha)
 
-    _clear_library_caches()
-    for fmt, want in (("json", json_sha), ("text", text_sha),
-                      ("latex", latex_sha)):
-        assert main(["construct", *argv, "--format", fmt]) == status
-        assert sha(capsys.readouterr().out) == want, fmt
-    target = tmp_path / "fragment.tex"
-    assert main(["construct", *argv, "--latex", str(target)]) == status
-    assert sha(capsys.readouterr().out) == json_sha
-    assert sha(target.read_text()) == latex_sha
+
+# the same forms for both golden recurrences, an inadmissible --raw-X and
+# every verify suite; both golden runs pass the same named checks, so
+# their text is the same
+_RECURRENCE_VERIFY_PINNED = [
+    (["recurrence", "--family", "L", "--g", "2", "--indices", "1I"],
+     0, "6da859ba8515ab103366027cf1914ff054fa7195ea680c6bdb33c94cd95c3e74",
+     "a4279f47acc3a12d3d1a3be65f9ff4b77d7ed0ea83afef0aa88f955ecf28789d",
+     "c409ecb3da3bdfe3f29fff0b5030549b680d556db12153831fdc20d64372e0c5"),
+    (["recurrence", "--family", "J", "--g", "7/3", "--h", "9/4",
+      "--indices", "1I"],
+     0, "2ba82ed96737fc281f2c922c19943a6db3364400fda8d65c2f3fd6f4343aec18",
+     "a4279f47acc3a12d3d1a3be65f9ff4b77d7ed0ea83afef0aa88f955ecf28789d",
+     "eba7f769ace17935eaefd57246266d39b7395b8d914baea1885b871aa83ddcff"),
+    (["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+      "--raw-X", "0,1"],
+     1, "d764b5c764094bc5405355847bf07d94ce577401624dcc77e7e07c38307ce1fd",
+     "806fd263fd678456d32ef540dd42af428185784de695c65ffdf244e225c91a4e",
+     "5ce046c049814e9787fc74f92ddc9a2ff23e97401ea52f9c53fd2221fbf860d4"),
+    (["verify", "--suite", "all", "--samples", "1", "--nmax", "2"],
+     0, "5e8dcbc91b56b5c4e5a08d8858b070fb308e43da2966a0c296b516f744d0f4d1",
+     "aa6d166aaffe841eb8450df90d423ad348bcc36095c8d16c07db5fa9d9e34a24",
+     "481e3560ad334c23ded3292cc4c4d6dc9d005f232690147a105e031f23c6170b"),
+]
+
+
+@pytest.mark.parametrize("argv,status,json_sha,text_sha,latex_sha",
+                         _RECURRENCE_VERIFY_PINNED,
+                         ids=["L-golden", "J-golden", "raw-X", "verify"])
+def test_recurrence_and_verify_output_is_pinned(
+        capsys, tmp_path, argv, status, json_sha, text_sha, latex_sha):
+    _assert_pinned(capsys, tmp_path, argv, status, json_sha, text_sha,
+                   latex_sha)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex", "file"])
+def test_every_format_is_written_in_bounded_batches(monkeypatch, fmt):
+    # every format and destination goes through one writer: its bytes are
+    # the pinned ones, no write exceeds _BATCH plus the largest piece, and
+    # the LaTeX fragment is never written whole
+    argv, status, *shas = _CONSTRUCT_PINNED[0]
+    want = dict(zip(["json", "text", "latex", "file"], [*shas, shas[2]]))
+    args = cli._parse_args(["construct", *argv, "--format",
+                            "json" if fmt == "file" else fmt])
+    doc, code = cli.cmd_construct(args)
+    assert code == status
+    shown = "latex" if fmt == "file" else fmt
+    largest = max(map(len, cli._pieces(doc, shown)))
+    writes, stdout = [], []
+
+    class Fragment:   # the --latex FILE handle
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            writes.append(text)
+
+    if fmt == "file":
+        args.latex = "fragment.tex"
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Fragment(),
+                            raising=False)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(
+        write=(stdout if fmt == "file" else writes).append))
+    cli._emit(doc, args)
+    monkeypatch.undo()
+    assert _sha("".join(writes)) == want[fmt]
+    if fmt == "file":
+        assert _sha("".join(stdout)) == want["json"]
+    assert all(len(w) <= cli._BATCH + largest for w in writes)
+    assert all(len(w) >= cli._BATCH for w in writes[:-1])
+    if shown == "latex":
+        assert sum("P_{" in w for w in writes) > 1
 
 
 @pytest.mark.parametrize("nmax", ["1", "40"])
