@@ -31,16 +31,25 @@ stdout), also after ``-h``/``--help``, which otherwise prints the usage
 text.  Each subcommand
 imports the layers it runs: ``construct`` loads none of ``diffop``,
 ``recurrence`` or ``shiftalg``.  A document holds a ``Poly`` wherever
-it prints a polynomial (Xi, X, each construct member's P_(D,n)): the
-JSON encoder's default hook formats it when the writer reaches it, and
-the LaTeX lines read its coefficients.  Every format, to stdout or the
-``--latex FILE`` handle, goes through one writer that writes once
-``_BATCH`` characters have gathered, so no output is held whole.
+it prints a polynomial (Xi, X, each construct member's P_(D,n)) and a
+``Fraction`` for each recurrence coefficient r_(n,k): the JSON
+encoder's default hook formats either when the writer reaches it, and
+the LaTeX lines read the values themselves.  Every format, to stdout or
+the ``--latex FILE`` handle, goes through one writer that writes once
+``_BATCH`` characters have gathered, so no output is held whole.  The
+golden tables are read with a plain ``open`` from the ``golden``
+directory next to this module.
+
+The ``mipoly`` console script, ``entry``, which ``python -m mipoly.cli``
+runs too, freezes the collector once ``main()`` has returned, so
+interpreter shutdown does not walk the objects that start-up and
+imports made.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import os
@@ -125,9 +134,10 @@ def _document(args, results: dict, checks: Report) -> Tuple[dict, int]:
 
 
 def _load_golden(name: str) -> dict:
-    from importlib import resources   # only the golden cases read tables
-    path = resources.files("mipoly").joinpath(f"golden/{name}.json")
-    with path.open("r", encoding="utf-8") as fh:
+    # the package data is installed unpacked next to this module; a plain
+    # open spares each golden run the imports behind importlib.resources
+    path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -266,7 +276,7 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
         checks.append(Check("genericity", False, str(exc)))
         return _document(args, results, checks)
     results["rows"] = [
-        {"n": n, "coeffs": [[k, rat_str(v)] for k, v in sorted(row.items())]}
+        {"n": n, "coeffs": [[k, v] for k, v in sorted(row.items())]}
         for n, row in enumerate(rows)]
     checks.append(agreement)
 
@@ -275,7 +285,8 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
         upto = min(args.nmax, max(r["n"] for r in gold["rows"]))
         golden = agree("golden", f"closed-form table rows n <= {upto}",
                        [(f"n={n}", gold["rows"][n]["coeffs"],
-                         results["rows"][n]["coeffs"])
+                         [[k, rat_str(v)]
+                          for k, v in results["rows"][n]["coeffs"]])
                         for n in range(upto + 1)])
         results["golden"] = "pass" if golden.ok else "fail"
         checks.append(golden)
@@ -498,7 +509,7 @@ def _latex_render(doc: dict) -> Iterator[str]:
             yield f"  X(\\eta) &= {_latex_poly(res['x'])} \\\\"
         for row in res["rows"]:
             body = ", \\quad ".join(
-                f"r_{{{row['n']},{k}}} = {_latex_rat(Fraction(v))}"
+                f"r_{{{row['n']},{k}}} = {_latex_rat(v)}"
                 for k, v in row["coeffs"])
             yield f"  & {body} \\\\"
         yield "\\end{align*}"
@@ -514,12 +525,15 @@ def _text_render(doc: dict) -> Iterator[str]:
                f" -- {check['detail']}")
 
 
-def _poly_strings(p: Poly) -> list:
-    """The encoder's default hook: a polynomial's coefficient strings,
-    built when the writer reaches it and dropped once written."""
-    if not isinstance(p, Poly):
-        raise TypeError(f"{type(p).__name__} is not JSON serializable")
-    return p.to_strings()
+def _formatted(x):
+    """The encoder's default hook: a polynomial's coefficient strings or
+    a rational's "p/q", built when the writer reaches it and dropped once
+    written."""
+    if isinstance(x, Poly):
+        return x.to_strings()
+    if isinstance(x, Fraction):
+        return rat_str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _pieces(doc: dict, fmt: str) -> Iterator[str]:
@@ -528,7 +542,7 @@ def _pieces(doc: dict, fmt: str) -> Iterator[str]:
     LaTeX."""
     if fmt == "json":
         encoder = json.JSONEncoder(indent=2, sort_keys=True,
-                                   default=_poly_strings)
+                                   default=_formatted)
         return itertools.chain(encoder.iterencode(doc), ["\n"])
     render = _text_render if fmt == "text" else _latex_render
     return (line + "\n" for line in render(doc))
@@ -700,8 +714,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The ``mipoly`` console script: run ``main()`` and exit with its code.
+
+    Stdout is flushed and the code fixed by then, so the collector is
+    frozen first: every object alive moves to the permanent generation,
+    which no collection examines, the ones at interpreter shutdown
+    included.  ``main()`` alone leaves the collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

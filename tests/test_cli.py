@@ -4,6 +4,7 @@ Every invocation goes through main(argv) so the tests see exactly what a
 shell user sees; stdout is parsed back as JSON and compared exactly.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -225,6 +226,46 @@ def test_recurrence_reads_only_its_familys_table(capsys, monkeypatch, point,
                                   "--nmax", "1"])
     assert code == 0 and doc["results"]["golden"] == "pass"
     assert read == [table]
+
+
+def test_recurrence_golden_names_a_wrong_table_entry(capsys, monkeypatch):
+    # one wrong closed-form entry, r_(3,-1), fails exactly its row
+    load = cli._load_golden
+
+    def wrong(name):
+        table = load(name)
+        table["rows"][3]["coeffs"][1][1] = "-117/4"
+        return table
+
+    monkeypatch.setattr(cli, "_load_golden", wrong)
+    code, doc = run_json(capsys, ["recurrence", "--family", "L", "--g", "2",
+                                  "--indices", "1I", "--nmax", "4"])
+    assert code == 1
+    assert doc["results"]["golden"] == "fail"
+    assert check_status(doc, "route_agreement") == "pass"
+    row = [c for c in doc["checks"] if c["name"] == "golden"][0]
+    assert row["detail"] == (
+        "closed-form table rows n <= 4; 1 of 5 cases fail, first at n=3: "
+        "expected [[-2, '91/8'], [-1, '-117/4'], [0, '713/8'], [1, '-52'], "
+        "[2, '10']], got [[-2, '91/8'], [-1, '-117/2'], [0, '713/8'], "
+        "[1, '-52'], [2, '10']]")
+
+
+def test_golden_tables_load_without_importlib_resources():
+    # under -S no site module preloads anything, so sys.modules shows
+    # what a golden recurrence run itself imports
+    script = (
+        "import sys\n"
+        "from mipoly.cli import main\n"
+        "code = main(['recurrence', '--family', 'L', '--g', '2',\n"
+        "             '--indices', '1I', '--nmax', '12'])\n"
+        "heavy = {'importlib.resources', 'pathlib', 'zipfile'}\n"
+        "print(code, sorted(heavy & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["results"]["golden"] == "pass"
 
 
 def test_recurrence_no_golden_for_other_parameters(capsys):
@@ -838,7 +879,7 @@ def test_json_is_written_in_batches(monkeypatch):
     assert code == 0
     # json.dumps's encoder, with the writer's hook that formats polynomials
     encoder = json.JSONEncoder(indent=2, sort_keys=True,
-                               default=cli._poly_strings)
+                               default=cli._formatted)
     text = encoder.encode(doc) + "\n"
     assert len(text) > cli._BATCH
     writes = []
@@ -1032,3 +1073,45 @@ def test_closed_stdout_exits_quietly(nmax):
     assert cli.STDOUT_CLOSED not in (0, 1, 2)
     assert proc.returncode == cli.STDOUT_CLOSED
     assert proc.stderr == ""   # no traceback, no "Exception ignored"
+
+
+def test_console_entry_freezes_the_collector_before_exit():
+    script = (
+        "import gc, sys\n"
+        "from mipoly.cli import entry\n"
+        "sys.argv = ['mipoly', 'construct', '--family', 'L', '--g', '7/3',\n"
+        "            '--indices', '1I', '--nmax', '2']\n"
+        "try:\n"
+        "    entry()\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, gc.get_freeze_count(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=60)
+    code, frozen = proc.stderr.split()
+    assert code == "0" and int(frozen) > 0
+    assert json.loads(proc.stdout)["results"]["xi"] == ["17/6", "1"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["construct", "--family", "L", "--g", "7/3", "--indices", "1I",
+      "--nmax", "2"], 0),
+    (["recurrence", "--family", "L", "--g", "-1/2", "--indices", "1I",
+      "--raw-X", "0,1", "--nmax", "2"], 1),
+    (["construct", "--family", "L", "--indices", "1I"], 2),
+    (["--help"], 0),
+], ids=["construct", "exit-1", "exit-2", "help"])
+def test_module_run_matches_in_process_main(capsys, argv, want):
+    # python -m mipoly.cli exits through entry(); main() in this process
+    # gives the same bytes and code and leaves the collector unfrozen
+    assert gc.get_freeze_count() == 0
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == want
+    assert gc.get_freeze_count() == 0
+    proc = subprocess.run([sys.executable, "-m", "mipoly.cli", *argv],
+                          env=_env_with_src(), capture_output=True,
+                          timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()

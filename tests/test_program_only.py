@@ -11,6 +11,7 @@ a run does enter is stale and fails the test too, so the list stays
 short.
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -169,6 +170,7 @@ def test_every_function_in_src_is_entered_or_held(capsys, monkeypatch,
             cli.entry()
     finally:
         sys.setprofile(None)
+        gc.unfreeze()   # entry() froze this process's objects on its way out
     capsys.readouterr()
 
     defined = _defined()
