@@ -7,8 +7,9 @@ through n = nmax + L, derives the 1 + 2L-term constant-coefficient
 relation by the three independent routes (direct expansion, conjugated
 operator, matrix realization) in one loop, cross-checks them, and
 compares against the shipped closed-form tables when the configuration
-matches one of the built-in cases.  ``verify`` re-runs the seeded
-identity suites.
+matches one of the built-in cases.  ``verify`` runs the seeded suites
+of the check registry, ``mipoly.verify``, which the acceptance tests
+run too; this module only binds them to the flags.
 
 Every document is ``{config, results, checks, version}``; rationals are
 rendered "p/q" (plain "p" for integers), polynomials as ascending
@@ -28,10 +29,11 @@ with "-", a flag named in full beats any flag it is a prefix of, and
 otherwise a unique prefix stands for its flag.  Any unusable command
 line is a ``ConfigError`` (``mipoly: ...`` on stderr, exit 2, empty
 stdout), also after ``-h``/``--help``, which otherwise prints the usage
-text.  Each subcommand
-imports the layers it runs: ``construct`` loads none of ``diffop``,
-``recurrence`` or ``shiftalg``.  A document holds a ``Poly`` wherever
-it prints a polynomial (Xi, X, each construct member's P_(D,n)) and a
+text; so is a constant ``--raw-X`` (X' = 0, so Y = 0), as ``--y 0`` is.
+Each subcommand imports the layers it runs: ``construct`` loads none of
+``diffop``, ``recurrence`` or ``shiftalg``, and only ``verify`` loads
+the registry.  A document holds a ``Poly`` wherever it prints a
+polynomial (Xi, X, each construct member's P_(D,n)) and a
 ``Fraction`` for each recurrence coefficient r_(n,k): the JSON
 encoder's default hook formats either when the writer reaches it, and
 the LaTeX lines read the values themselves.  Every format, to stdout or
@@ -59,18 +61,10 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
-from .checks import Check, Report, agree
-from .exact import ETA, ParamPoint, Poly, differentiate, rat_str
-from .families import (
-    GenericityViolation,
-    classical_poly,
-    cnk,
-    delta_shift,
-    energy,
-    expand_in_classical,
-    recurrence_abc,
-)
-from .gauged import NotPolynomial, wronskian_identities_check
+from .checks import Check, Report, agree, route_agreement, y_routes
+from .exact import ParamPoint, Poly, rat_str
+from .families import GenericityViolation
+from .gauged import NotPolynomial
 from .mindexed import (
     DegenerateLeading,
     IndexSet,
@@ -78,7 +72,6 @@ from .mindexed import (
     mi_poly,
     p_leading,
     pi_factor,
-    plusdelta_constant,
     xi_leading,
     xi_poly,
 )
@@ -201,42 +194,6 @@ def _matching_golden(pp: ParamPoint, D: IndexSet, Y: Poly) -> Optional[dict]:
     return gold
 
 
-def _y_routes(pp: ParamPoint, D: IndexSet, Y: Poly) -> List[tuple]:
-    from .recurrence import recurrence_direct, recurrence_via_theta
-    from .shiftalg import recurrence_bispectral
-    return [("direct", functools.partial(recurrence_direct, pp, D, Y)),
-            ("operator", functools.partial(recurrence_via_theta, pp, D, Y)),
-            ("matrix", functools.partial(recurrence_bispectral, pp, D, Y))]
-
-
-def _route_agreement(name: str, detail: str, routes: List[tuple], nmax: int):
-    """Rows of the first route for n <= nmax, and their agreement check.
-
-    A route after the first that finds no normal form for Theta yields
-    its failure message as its row, so the check fails with it as the
-    witness.  A residue in the first route's expansion ends the rows at
-    that n, and the check fails naming the route, n and the residue.
-    """
-    from .recurrence import NonzeroRemainder
-    from .shiftalg import DecompositionFailure
-    (first_route, first), *others = routes
-    rows, cases = [], []
-    for n in range(nmax + 1):
-        try:
-            row = first(n)
-        except NonzeroRemainder as exc:
-            return rows, Check(name, False, f"{detail}; fails at n={n}, "
-                               f"{first_route} route: NonzeroRemainder: {exc}")
-        rows.append(row)
-        for route, at in others:
-            try:
-                other = at(n)
-            except DecompositionFailure as exc:
-                other = f"DecompositionFailure: {exc}"
-            cases.append((f"n={n}, {route} route", row, other))
-    return rows, agree(name, detail, cases)
-
-
 def cmd_recurrence(args) -> Tuple[dict, int]:
     # the operator layers load here, so that construct never pays for them
     from .recurrence import (recurrence_from_theta, recurrence_from_x,
@@ -247,6 +204,9 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
     try:
         if args.raw_x is not None:
             X = _parse_poly(args.raw_x, "--raw-X")
+            if X.degree < 1:
+                # X' = 0 is Y = 0, which --y refuses too
+                raise ConfigError("--raw-X: a constant X is not usable here")
             results["x"] = X
             try:
                 theta = theta_from_x(pp, D, X)
@@ -266,10 +226,10 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
             results["x"] = x_from_y(pp, D, Y)
             L = recurrence_order(D, Y)
             detail = "direct, operator and matrix routes"
-            routes = _y_routes(pp, D, Y)
+            routes = y_routes(pp, D, Y)
         results["order"] = L
         check_genericity(pp, D, args.nmax + L)
-        rows, agreement = _route_agreement(
+        rows, agreement = route_agreement(
             "route_agreement", f"{detail} for n <= {args.nmax}", routes,
             args.nmax)
     except (GenericityViolation, DegenerateLeading) as exc:
@@ -296,166 +256,12 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
 
 # -- verify ------------------------------------------------------------------
 
-# parameter pools for the seeded suites: kept generic -- g and h off the
-# half-integers (those zero a leading coefficient for some seed) and, for
-# Jacobi, g - h off the integers so the twisted three-term recurrences
-# stay defined
-_L_POOL = [Fraction(7, 3), Fraction(5, 4), Fraction(9, 2),
-           Fraction(12, 5), Fraction(3)]
-_J_POOL = [(Fraction(7, 3), Fraction(9, 4)), (Fraction(8, 3), Fraction(7, 4)),
-           (Fraction(13, 4), Fraction(10, 3)), (Fraction(16, 5), Fraction(9, 4)),
-           (Fraction(18, 5), Fraction(4, 3))]
-
-_L_SETS = [IndexSet("L", (1,), ()), IndexSet("L", (), (2,)),
-           IndexSet("L", (1, 2), ()), IndexSet("L", (1,), (2,))]
-_J_SETS = [IndexSet("J", (1,), ()), IndexSet("J", (), (2,)),
-           IndexSet("J", (1, 2), ()), IndexSet("J", (1,), (2,))]
-
-
-def _sample_points(samples: int) -> List[ParamPoint]:
-    pts = [ParamPoint("H")]
-    pts += [ParamPoint("L", g=g) for g in _L_POOL[:samples]]
-    pts += [ParamPoint("J", g=g, h=h) for g, h in _J_POOL[:samples]]
-    return pts
-
-
-def _deformed_cases(samples: int) -> List[Tuple[ParamPoint, IndexSet]]:
-    """The L and J sample points, each with every index set of its family."""
-    return [(pp, D) for pp in _sample_points(samples)[1:]
-            for D in (_L_SETS if pp.family == "L" else _J_SETS)]
-
-
-def _set_label(pp: ParamPoint, D: IndexSet) -> str:
-    """Check-row label of a point and an index set: J,1I,2II,g=7/3,h=9/4."""
-    family, *params = str(pp).split(" ")
-    return ",".join([family, D.label(), *params])
-
-
-def _suite_wronskian(args) -> Report:
-    return wronskian_identities_check(seed=args.seed, trials=10 * args.samples)
-
-
-def _suite_families(args) -> Report:
-    report: Report = []
-    for pp in _sample_points(args.samples):
-        P = functools.partial(classical_poly, pp)
-        trr, deriv = [], []
-        for n in range(args.nmax + 1):
-            A, B, C = recurrence_abc(pp, n)
-            trr.append((f"eta P_{n}", ETA * P(n),
-                        A * P(n + 1) + B * P(n) + C * P(n - 1)))
-            want = {n - k: cnk(pp, n, k) for k in range(1, n + 1)
-                    if cnk(pp, n, k) != 0}
-            deriv.append((f"P_{n}'", want,
-                          expand_in_classical(pp, differentiate(P(n)))))
-        report.append(agree(f"three_term[{pp}]", f"n <= {args.nmax}", trr))
-        report.append(agree(f"derivative_expansion[{pp}]",
-                            f"n <= {args.nmax}", deriv))
-    return report
-
-
-def _suite_mindexed(args) -> Report:
-    report: Report = []
-    nmax = min(args.nmax, 5)
-    for pp, D in _deformed_cases(args.samples):
-        xi = xi_poly(pp, D)
-        cases = [("deg Xi", D.ell, xi.degree),
-                 ("lc Xi", xi_leading(pp, D), xi.lc())]
-        for n in range(nmax + 1):
-            p = mi_poly(pp, D, n)
-            cases += [(f"deg P_(D,{n})", D.ell + n, p.degree),
-                      (f"lc P_(D,{n})", p_leading(pp, D, n), p.lc())]
-        cases.append(("P_(D,0)", plusdelta_constant(pp, D)
-                      * xi_poly(delta_shift(pp), D), mi_poly(pp, D, 0)))
-        report.append(agree(f"construction[{_set_label(pp, D)}]",
-                            f"degrees, leadings, lowest member; n <= {nmax}",
-                            cases))
-    return report
-
-
-def _applied(op, p: Poly):
-    """op p as a polynomial; a rational result yields its failure text."""
-    try:
-        return op.apply(p).as_poly()
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-def _suite_diffop(args) -> Report:
-    from .diffop import (backward_apply_via_wronskian, backward_op,
-                         forward_op, htilde_op)
-    report: Report = []
-    nmax = min(args.nmax, 5)
-    for pp, D in _deformed_cases(args.samples):
-        fhat, bhat = forward_op(pp, D), backward_op(pp, D)
-        H = htilde_op(pp, D)
-        cases = []
-        for n in range(nmax + 1):
-            Pn, PDn = classical_poly(pp, n), mi_poly(pp, D, n)
-            cases += [
-                (f"Fhat P_{n}", PDn, _applied(fhat, Pn)),
-                (f"Bhat P_(D,{n})", pi_factor(pp, D, n) * Pn,
-                 _applied(bhat, PDn)),
-                (f"H P_(D,{n})", energy(pp, n) * PDn, _applied(H, PDn))]
-        q = Poly([3, -2, 1])
-        cases.append((f"Bhat {q!r} by Wronskian", bhat.apply(q),
-                      backward_apply_via_wronskian(pp, D, q)))
-        report.append(agree(f"intertwining[{_set_label(pp, D)}]",
-                            f"forward/backward/eigen; n <= {nmax}", cases))
-    return report
-
-
-def _suite_recurrence(args) -> Report:
-    nmax = min(args.nmax, 5)
-    return [_route_agreement(
-                f"routes[{_set_label(pp, D)},degY={Y.degree}]",
-                f"three routes agree for n <= {nmax}",
-                _y_routes(pp, D, Y), nmax)[1]
-            for pp, D in _deformed_cases(min(args.samples, 2))
-            for Y in (Poly.one(), ETA)]
-
-
-def _suite_shiftalg(args) -> Report:
-    from .shiftalg import (commutator_check, power_formulas_check,
-                           star_identities_check)
-    report = star_identities_check(seed=args.seed, trials=2 * args.samples)
-    for pp in _sample_points(min(args.samples, 2)):
-        report += commutator_check(pp, args.nmax)
-        report += power_formulas_check(pp, args.nmax)
-    return report
-
-
-def _suite_bnk(args) -> Report:
-    from .shiftalg import cross_term_cases
-    return [agree(f"cross_terms[{pp}]",
-                  f"b(n,k) = 0 for 1 <= k <= n <= {args.nmax}",
-                  cross_term_cases(pp, args.nmax))
-            for pp in _sample_points(min(args.samples, 3))]
-
-
-_SUITES = {
-    "wronskian": _suite_wronskian,
-    "families": _suite_families,
-    "mindexed": _suite_mindexed,
-    "diffop": _suite_diffop,
-    "recurrence": _suite_recurrence,
-    "shiftalg": _suite_shiftalg,
-    "bnk": _suite_bnk,
-}
-
 
 def cmd_verify(args) -> Tuple[dict, int]:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks: Report = []
-    summary: dict = {}
-    for name in names:
-        try:
-            rows = _SUITES[name](args)
-        except Exception as exc:  # a crashed suite is a failed suite
-            rows = [Check("crashed", False, f"{type(exc).__name__}: {exc}")]
-        summary[name] = {"pass": sum(1 for row in rows if row.ok),
-                         "fail": sum(1 for row in rows if not row.ok)}
-        checks += [row._replace(name=f"{name}/{row.name}") for row in rows]
+    # the check registry, and the operator layers behind it, load here, so
+    # that construct and recurrence never pay for them
+    from .verify import run
+    summary, checks = run(args.suite, args.samples, args.nmax, args.seed)
     return _document(args, {"suites": summary}, checks)
 
 
@@ -592,8 +398,12 @@ _COMMANDS = {
                    _FAMILY + (("y", "1"), ("raw-X", None)) + _COMMON),
     "verify": (cmd_verify, (("suite", "all"),) + _COMMON),
 }
+# the suites of verify.SUITES, named here so that reading a command line
+# loads no suite
+_SUITE_NAMES = ("wronskian", "families", "mindexed", "diffop", "recurrence",
+                "shiftalg", "bnk")
 _CHOICES = {"family": ("L", "J"), "format": ("json", "text", "latex"),
-            "suite": (*_SUITES, "all")}
+            "suite": (*_SUITE_NAMES, "all")}
 # smaller counts would make every check pass vacuously
 _LEAST = {"nmax": 0, "samples": 1}
 

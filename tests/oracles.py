@@ -26,6 +26,10 @@ Operators.  ``op_add``, ``op_neg`` and ``op_sub`` are the sum,
 negation and difference of ``diffop.DiffOp``s over the product of their
 denominators, and ``op_derivative`` is d^order, for the operator
 identities of ``test_diffop``, ``test_shiftalg`` and ``test_acceptance``.
+
+Closed forms.  ``laguerre_single_seed_row`` and ``jacobi_single_seed_row``
+are the r_(n,k) of the single seed 1I with Y = 1, written out by hand,
+which every route must reproduce.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from mipoly.diffop import DiffOp
-from mipoly.exact import ParamPoint, Poly, RatFunc, rat
+from mipoly.exact import ParamPoint, Poly, RatFunc, pochhammer, rat
 from mipoly.gauged import _LINEAR, _fold, _gaugeless, _poly_nums, gauge_str
 from mipoly.mindexed import IndexSet, mi_poly
 from mipoly.recurrence import NonzeroRemainder
@@ -214,3 +218,38 @@ def op_neg(S: DiffOp) -> DiffOp:
 
 def op_sub(S: DiffOp, T: DiffOp) -> DiffOp:
     return op_add(S, op_neg(T))
+
+
+def laguerre_single_seed_row(g: Fraction, n: int) -> Dict[int, Fraction]:
+    """r_(n,k), n + k >= 0, for L at g, D = 1I and Y = 1."""
+    row = {
+        2: Fraction(1, 2) * (n + 1) * (n + 2),
+        1: -(n + 1) * (2 * g + 2 * n + 3),
+        0: Fraction(1, 8) * (24 * n * n + 4 * (10 * g + 11) * n
+                             + (2 * g + 1) * (6 * g + 13)),
+        -1: -Fraction(1, 2) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3),
+        -2: Fraction(1, 8) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3),
+    }
+    return {k: v for k, v in row.items() if n + k >= 0}
+
+
+def jacobi_single_seed_row(g: Fraction, h: Fraction,
+                           n: int) -> Dict[int, Fraction]:
+    """r_(n,k), n + k >= 0, for J at (g, h), D = 1I and Y = 1."""
+    a, b, P = g + h, g - h, pochhammer
+    row = {
+        2: (n + 1) * (n + 2) * (b + 2) * P(a + n, 2) * (2 * h + 2 * n - 3)
+           / (P(a + 2 * n, 4) * (2 * h + 2 * n + 1)),
+        1: (n + 1) * (a - 1) * (a + n) * (2 * g + 2 * n + 3)
+           * (2 * h + 2 * n - 3) / (P(a + 2 * n - 1, 3) * (a + 2 * n + 3)),
+        0: (b + 2) / (4 * P(a + 2 * n - 2, 2) * P(a + 2 * n + 1, 2))
+           * (-b * (b + 4) * (2 * n * (a + n) - (a - 2) * (a - 1))
+              + (a + 2 * n - 1) * (a + 2 * n + 1)
+              * (2 * n * (a + n) - (a - 2) * (2 * a - 1))),
+        -1: (a - 1) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3)
+            * P(h + n - Fraction(3, 2), 2)
+            / ((a + 2 * n - 3) * P(a + 2 * n - 1, 3)),
+        -2: (b + 2) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3)
+            * P(h + n - Fraction(3, 2), 2) / (4 * P(a + 2 * n - 3, 4)),
+    }
+    return {k: v for k, v in row.items() if n + k >= 0}

@@ -2,10 +2,13 @@
 
 Each test prints a single ``PASS <nn> <label> (<seconds>)`` line (visible
 under ``pytest -s``); a failing guarantee surfaces as the usual pytest
-FAILED line instead.  Expected values are restated locally from closed
-forms rather than imported from the library, so a regression cannot hide
-behind a shared helper, and where a wall-clock budget is part of the
-guarantee it is asserted, not just reported.
+FAILED line instead.  Expected values are restated from closed forms,
+here or in the tests' ``oracles``, rather than imported from the
+library, so a regression cannot hide behind a shared helper, and where
+a wall-clock budget is part of the guarantee it is asserted, not just
+reported.  The battery tests 6 and 7 instead run the named checks of
+``verify``'s registry over the battery and assert that every row
+passes, so a failure prints each failing row with its witness.
 
 The battery runs over every index set with at most three seeds drawn
 from {1, 2, 3} x {I, II} (42 sets per parametric family) at one generic
@@ -20,38 +23,14 @@ from fractions import Fraction
 
 import pytest
 
+from mipoly import verify
 from mipoly.cli import main as cli_main
-from mipoly.diffop import (
-    DiffOp,
-    backward_apply_via_wronskian,
-    backward_op,
-    backward_step_eigen,
-    forward_op,
-    forward_step_eigen,
-    htilde_op,
-    single_step_backward,
-    single_step_forward,
-)
-from mipoly.exact import (
-    ETA,
-    ParamPoint,
-    Poly,
-    RatFunc,
-    integrate_from_zero,
-    pochhammer,
-)
-from mipoly.families import classical_poly, delta_shift, energy
+from mipoly.diffop import DiffOp
+from mipoly.exact import ETA, ParamPoint, Poly, integrate_from_zero, pochhammer
 from mipoly.gauged import NotPolynomial, wronskian_identities_check
-from mipoly.mindexed import (
-    IndexSet,
-    mi_poly,
-    pi_factor,
-    plusdelta_constant,
-    xi_poly,
-)
+from mipoly.mindexed import IndexSet, xi_poly
 from mipoly.recurrence import (
     recurrence_direct,
-    recurrence_order,
     recurrence_via_theta,
     theta_from_x,
     theta_op,
@@ -67,7 +46,8 @@ from mipoly.shiftalg import (
     star_identities_check,
 )
 
-from oracles import op_add, op_derivative
+from oracles import (jacobi_single_seed_row, laguerre_single_seed_row, op_add,
+                     op_derivative)
 
 F = Fraction
 
@@ -162,53 +142,18 @@ def test_02_jacobi_two_seed_quartic():
 # -- 3, 4: single-seed recurrence tables from all three routes ---------------
 
 
-def _laguerre_row(g, n):
-    return {
-        2: F(1, 2) * (n + 1) * (n + 2),
-        1: -(n + 1) * (2 * g + 2 * n + 3),
-        0: F(1, 8) * (24 * n * n + 4 * (10 * g + 11) * n
-                      + (2 * g + 1) * (6 * g + 13)),
-        -1: -F(1, 2) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3),
-        -2: F(1, 8) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3),
-    }
-
-
 def test_03_laguerre_recurrence_tables():
     t0 = time.perf_counter()
     D = IndexSet("L", (1,), ())
     for g in (F(2), F(7, 3), F(9, 4)):
         pp = ParamPoint("L", g=g)
         for n in range(13):
-            want = {k: v for k, v in _laguerre_row(g, n).items()
-                    if n + k >= 0}
+            want = laguerre_single_seed_row(g, n)
             assert recurrence_direct(pp, D, Poly.one(), n) == want, (g, n)
             assert recurrence_via_theta(pp, D, Poly.one(), n) == want, (g, n)
             assert recurrence_bispectral(pp, D, Poly.one(), n) == want, (g, n)
     _report(3, "Laguerre single-seed tables, three routes, n <= 12", t0,
             budget=5.0)
-
-
-def _jacobi_row(g, h, n):
-    a, b = g + h, g - h
-    return {
-        2: (n + 1) * (n + 2) * (b + 2) * pochhammer(a + n, 2)
-           * (2 * h + 2 * n - 3)
-           / (pochhammer(a + 2 * n, 4) * (2 * h + 2 * n + 1)),
-        1: (n + 1) * (a - 1) * (a + n) * (2 * g + 2 * n + 3)
-           * (2 * h + 2 * n - 3)
-           / (pochhammer(a + 2 * n - 1, 3) * (a + 2 * n + 3)),
-        0: (b + 2) / (4 * pochhammer(a + 2 * n - 2, 2)
-                      * pochhammer(a + 2 * n + 1, 2))
-           * (-b * (b + 4) * (2 * n * (a + n) - (a - 2) * (a - 1))
-              + (a + 2 * n - 1) * (a + 2 * n + 1)
-              * (2 * n * (a + n) - (a - 2) * (2 * a - 1))),
-        -1: (a - 1) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3)
-            * pochhammer(h + n - F(3, 2), 2)
-            / ((a + 2 * n - 3) * pochhammer(a + 2 * n - 1, 3)),
-        -2: (b + 2) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3)
-            * pochhammer(h + n - F(3, 2), 2)
-            / (4 * pochhammer(a + 2 * n - 3, 4)),
-    }
 
 
 def test_04_jacobi_recurrence_tables():
@@ -217,8 +162,7 @@ def test_04_jacobi_recurrence_tables():
     for g, h in ((F(7, 3), F(9, 4)), (F(3), F(5, 2)), (F(13, 5), F(7, 2))):
         pp = ParamPoint("J", g=g, h=h)
         for n in range(11):
-            want = {k: v for k, v in _jacobi_row(g, h, n).items()
-                    if n + k >= 0}
+            want = jacobi_single_seed_row(g, h, n)
             assert recurrence_direct(pp, D, Poly.one(), n) == want, (g, h, n)
             assert recurrence_via_theta(pp, D, Poly.one(), n) == want, \
                 (g, h, n)
@@ -257,19 +201,20 @@ def test_05_cross_terms_vanish():
 # -- 6: constant-coefficient closure over the full battery -------------------
 
 
+def _all_pass(report, rows):
+    """Every row of a registry suite passes; the failing rows, each with
+    its witness, are the assert message."""
+    failed = [f"{row.name}: {row.detail}" for row in report if not row.ok]
+    assert not failed, "\n".join(failed)
+    assert len(report) == rows
+
+
 def test_06_recurrence_closure_battery():
     t0 = time.perf_counter()
-    for pp, D in BATTERY:
-        for Y in SEED_YS:
-            theta = theta_op(pp, D, Y)
-            assert theta.is_polynomial(), (D.label(), Y)
-            L = recurrence_order(D, Y)
-            for n in range(NMAX + 1):
-                # recurrence_direct raises NonzeroRemainder unless
-                # X P_{D,n} closes exactly over the deformed family
-                row = recurrence_direct(pp, D, Y, n)
-                assert all(-L <= k <= L for k in row), (D.label(), Y, n)
-                assert row[L] != 0, (D.label(), Y, n)
+    # per (point, set, Y): the three routes agree, and every row lies in
+    # the band |k| <= L with its extreme coefficients nonzero
+    _all_pass(verify.recurrence(BATTERY, SEED_YS, NMAX),
+              len(BATTERY) * len(SEED_YS))
     # inadmissible X's must fail loudly, not close approximately
     for pp in (LG, JG):
         for D in (IndexSet(pp.family, (1,), ()),
@@ -290,38 +235,9 @@ def test_06_recurrence_closure_battery():
 
 def test_07_operator_identities_battery():
     t0 = time.perf_counter()
-    probe = Poly([3, -2, 1])
-    for pp, D in BATTERY:
-        fhat, bhat = forward_op(pp, D), backward_op(pp, D)
-        H = htilde_op(pp, D)
-        bf, fb = bhat.compose(fhat), fhat.compose(bhat)
-        pp_up = delta_shift(pp)
-        down, up = single_step_forward(pp, D), single_step_backward(pp, D)
-        # the lowest member is the shifted denominator, up to a constant
-        assert mi_poly(pp, D, 0) == \
-            plusdelta_constant(pp, D) * xi_poly(pp_up, D), D.label()
-        # expanded backward operator == unexpanded Wronskian form
-        assert backward_apply_via_wronskian(pp, D, probe) == \
-            bhat.apply(probe), D.label()
-        for n in range(NMAX + 1):
-            Pn, PDn = classical_poly(pp, n), mi_poly(pp, D, n)
-            pi = pi_factor(pp, D, n)
-            assert fhat.apply(Pn) == RatFunc(PDn), (D.label(), n)
-            assert bhat.apply(PDn) == RatFunc(pi * Pn), (D.label(), n)
-            assert bf.apply(Pn) == RatFunc(pi * Pn), (D.label(), n)
-            assert fb.apply(PDn) == RatFunc(pi * PDn), (D.label(), n)
-            assert H.apply(PDn) == RatFunc(energy(pp, n) * PDn), \
-                (D.label(), n)
-            assert backward_apply_via_wronskian(pp, D, PDn) == \
-                bhat.apply(PDn), (D.label(), n)
-        for n in range(1, NMAX + 1):
-            f_n = forward_step_eigen(pp, n)
-            b_prev = backward_step_eigen(pp, n - 1)
-            assert down.apply(mi_poly(pp, D, n)) == \
-                RatFunc(f_n * mi_poly(pp_up, D, n - 1)), (D.label(), n)
-            assert up.apply(mi_poly(pp_up, D, n - 1)) == \
-                RatFunc(b_prev * mi_poly(pp, D, n)), (D.label(), n)
-            assert f_n * b_prev == energy(pp, n), (D.label(), n)
+    # the lowest member, then per set one intertwining and one ladder row
+    _all_pass(verify.mindexed(BATTERY, NMAX), len(BATTERY))
+    _all_pass(verify.diffop(BATTERY, NMAX), 2 * len(BATTERY))
     _report(7, "intertwining/eigen/ladder identities, 84 sets, n <= 8", t0)
 
 

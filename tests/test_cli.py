@@ -19,12 +19,14 @@ import pytest
 
 import mipoly
 import mipoly.mindexed as mindexed
+import mipoly.recurrence as recurrence
 import mipoly.shiftalg as shiftalg
-from mipoly import cli
+from mipoly import cli, verify
 from mipoly.checks import show
 from mipoly.cli import main
 from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
+from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
 from mipoly.recurrence import recurrence_direct, theta_op
 
@@ -157,6 +159,9 @@ def test_flag_spellings_give_the_same_stdout(capsys, same, other):
     ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
      "--raw-X", "0,1", "--y", "0,1"],
     ["verify", "--nmax", "0"],
+    # X' = 0 is Y = 0, which --y 0 refuses too
+    ["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+     "--raw-X", "5"],
 ])
 def test_unusable_command_lines_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -505,8 +510,7 @@ def test_verify_row_with_no_cases_fails(capsys, suite, name):
     assert main(["verify", "--suite", suite, "--nmax", "0"]) == 2
     assert capsys.readouterr() == \
         ("", "mipoly: --nmax must be >= 1 for verify, got 0\n")
-    rows = [row for row in cli._SUITES[suite](
-                SimpleNamespace(nmax=0, samples=1, seed=0))
+    rows = [row for row in verify.SUITES[suite](1, 0, 0)
             if f"{suite}/{row.name}" == name]
     assert rows and not any(row.ok for row in rows)
     assert all(row.detail.endswith("; no cases checked") for row in rows)
@@ -520,7 +524,7 @@ def test_verify_shiftalg_rows_name_their_point(capsys):
     assert code == 0
     rows = [(c["name"], c["detail"]) for c in doc["checks"]]
     assert len(set(rows)) == len(rows)
-    points = [str(pp) for pp in cli._sample_points(2)]
+    points = [str(pp) for pp in verify.sample_points(2)]
     pointed = [detail.split("; ")[0] for name, detail in rows
                if name.startswith(("shiftalg/commutator", "shiftalg/cross",
                                    "shiftalg/eta_power",
@@ -559,8 +563,8 @@ def test_verify_families_and_mindexed(capsys):
 
 
 def test_verify_names_diffop_witness(capsys, monkeypatch):
-    real = cli.energy
-    monkeypatch.setattr(cli, "energy", lambda pp, n: real(pp, n) + 1)
+    real = verify.energy
+    monkeypatch.setattr(verify, "energy", lambda pp, n: real(pp, n) + 1)
     code, doc = run_json(capsys, ["verify", "--suite", "diffop",
                                   "--samples", "1", "--nmax", "2"])
     assert code == 1
@@ -570,6 +574,65 @@ def test_verify_names_diffop_witness(capsys, monkeypatch):
     p0 = mi_poly(ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I"), 0)
     assert row["detail"].endswith(
         f"first at H P_(D,0): expected {p0!r}, got Poly(0)")
+
+
+LG, L1 = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
+
+
+def test_verify_ladder_names_a_wrong_step_factor(monkeypatch):
+    # f_3 off by one at every point fails the ladder row and only it
+    real = verify.forward_step_eigen
+    monkeypatch.setattr(verify, "forward_step_eigen",
+                        lambda pp, n: real(pp, n) + (n == 3))
+    intertwining, ladder = verify.diffop([(LG, L1)], 5)
+    assert intertwining.ok and not ladder.ok
+    assert ladder.name == "ladder[L,1I,g=7/3]"
+    assert ladder.detail.startswith(
+        "L g=7/3, 1I; F_D, B_D and f_n b_(n-1) = E_n for 1 <= n <= 5; "
+        "2 of 15 cases fail, first at F_D P_(D,3): expected ")
+
+
+def test_verify_routes_name_a_coefficient_out_of_band(monkeypatch):
+    # every route moves r_(3,2) to k = 3: the routes still agree, so
+    # only the band names the row's n
+    def shifted(route):
+        def at(pp, D, Y, n):
+            row = dict(route(pp, D, Y, n))
+            if n == 3:
+                row[3] = row.pop(2)
+            return row
+        return at
+
+    for module, name in ((recurrence, "recurrence_direct"),
+                         (recurrence, "recurrence_via_theta"),
+                         (shiftalg, "recurrence_bispectral")):
+        monkeypatch.setattr(module, name, shifted(getattr(module, name)))
+    (row,) = verify.recurrence([(LG, L1)], [Poly.one()], 4)
+    assert row.detail == (
+        "three routes agree, in the band |k| <= 2, for n <= 4; 1 of 18 "
+        "cases fail, first at n=3, highest k: expected 2, got 3")
+
+
+def test_verify_routes_name_a_theta_that_is_not_polynomial(monkeypatch):
+    # the operator route's NotPolynomial is its row, as a
+    # DecompositionFailure is the matrix route's, not a traceback
+    def refused(pp, D, Y):
+        raise NotPolynomial("coefficient of d^0 has denominator Poly(1*eta)")
+
+    monkeypatch.setattr(recurrence, "theta_op", refused)
+    (row,) = verify.recurrence([(LG, L1)], [Poly.one()], 1)
+    want = recurrence_direct(LG, L1, Poly.one(), 0)
+    assert row.detail == (
+        "three routes agree, in the band |k| <= 2, for n <= 1; 2 of 6 cases "
+        f"fail, first at n=0, operator route: expected {show(want)}, got "
+        "NotPolynomial: coefficient of d^0 has denominator Poly(1*eta)")
+
+
+def test_suite_choices_are_the_registry():
+    # the command line names the suites without loading the registry
+    usage = cli._USAGE.split("--suite ")[1].split(" (default)")[0]
+    assert "".join(usage.split()).split("|") == [*verify.SUITES, "all"]
+    assert cli._CHOICES["suite"] == (*verify.SUITES, "all")
 
 
 def _clear_member_caches():
@@ -641,7 +704,7 @@ def test_verify_diffop_catches_a_corrupted_cofactor(monkeypatch):
         nums[0] = 2 * nums[0]   # P_(D,0) = R_0
         return tuple(nums)
 
-    # the command line refuses verify at nmax 0, so the command runs
+    # the command line refuses verify at nmax 0, so the registry runs
     # directly
     for nmax in (0, 2):
         _clear_member_caches()
@@ -651,17 +714,13 @@ def test_verify_diffop_catches_a_corrupted_cofactor(monkeypatch):
             monkeypatch.setattr(mindexed, "_seed_wronskian", corrupted)
             # at n >= 1 the corrupted members leave the image of Fhat;
             # Bhat of them is no polynomial, a failing case of its own
-            doc, code = cli.cmd_verify(SimpleNamespace(
-                command="verify", suite="diffop", nmax=nmax, samples=1,
-                seed=0, format="json", latex=None))
+            _, (row, *_) = verify.run("diffop", 1, nmax, 0)
         finally:
             monkeypatch.undo()
             _clear_member_caches()
-        assert code == 1
-        row = doc["checks"][0]
-        assert row["name"] == "diffop/intertwining[L,1I,g=7/3]"
+        assert row.name == "diffop/intertwining[L,1I,g=7/3]" and not row.ok
         assert f"first at Fhat P_0: expected {2 * p0!r}, got {p0!r}" \
-            in row["detail"]
+            in row.detail
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -835,7 +894,7 @@ def test_cold_import_skips_dataclasses():
     # locale, getopt and gettext do too; the operator layers load only
     # inside the commands that run them
     unwanted = ["dataclasses", "argparse", "locale", "getopt", "gettext",
-                *_OPERATOR_LAYERS]
+                *_OPERATOR_LAYERS, "mipoly.verify"]
     script = ("import mipoly.cli, sys; "
               f"print({unwanted!r} & sys.modules.keys())")
     out = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
@@ -854,12 +913,14 @@ def test_families_loads_no_wronskian_layer():
 
 
 def test_construct_runs_without_the_operator_layers():
+    # nor does either command load the check registry
     script = f"""
 import contextlib, io, sys
 from mipoly.cli import main
 family = ["--family", "J", "--g", "7/3", "--h", "9/4",
           "--indices", "1I,3I,2II"]
-loaded = lambda: sorted({_OPERATOR_LAYERS!r} & sys.modules.keys())
+loaded = lambda: sorted({[*_OPERATOR_LAYERS, "mipoly.verify"]!r}
+                        & sys.modules.keys())
 with contextlib.redirect_stdout(io.StringIO()):
     built = main(["construct", *family, "--nmax", "20"]), loaded()
     ran = main(["recurrence", *family, "--nmax", "2"]), loaded()
@@ -999,9 +1060,9 @@ _RECURRENCE_VERIFY_PINNED = [
      "806fd263fd678456d32ef540dd42af428185784de695c65ffdf244e225c91a4e",
      "5ce046c049814e9787fc74f92ddc9a2ff23e97401ea52f9c53fd2221fbf860d4"),
     (["verify", "--suite", "all", "--samples", "1", "--nmax", "2"],
-     0, "5e8dcbc91b56b5c4e5a08d8858b070fb308e43da2966a0c296b516f744d0f4d1",
-     "aa6d166aaffe841eb8450df90d423ad348bcc36095c8d16c07db5fa9d9e34a24",
-     "481e3560ad334c23ded3292cc4c4d6dc9d005f232690147a105e031f23c6170b"),
+     0, "48ee96b57718b7921d05c02a26154c8422e2205ee0eeecd1acf9d393a81647ad",
+     "d7a98bacd791f532b832d70ac0d39ed1c460838398056a80fe42da7c9d17e248",
+     "46ae26d5893a57b0c5cb3e04011651e9ec9232bb6515b8f96b24d3ed18c0f67b"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Forward/backward intertwining operators and the deformed Hamiltonian."""
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -7,31 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipoly.checks import agree
 from mipoly.exact import ETA, ParamPoint, Poly, RatFunc, poly_divmod
-from mipoly.families import classical_poly, energy
-from mipoly import diffop
+from mipoly import diffop, verify
 from mipoly.diffop import (
     DenominatorEscape,
     DiffOp,
     backward_apply_via_wronskian,
     backward_op,
-    backward_step_eigen,
     forward_op,
-    forward_step_eigen,
     htilde_op,
     single_step_backward,
     single_step_forward,
 )
-from mipoly.families import delta_shift
 from mipoly.gauged import NotPolynomial
-from mipoly.mindexed import (
-    IndexSet,
-    _seed_wronskian,
-    mi_poly,
-    mj_function,
-    pi_factor,
-    xi_poly,
-)
+from mipoly.mindexed import (IndexSet, _seed_wronskian, mi_poly, mj_function,
+                             xi_poly)
 from mipoly.recurrence import theta_op
 
 from oracles import op_add, op_derivative, op_sub
@@ -165,21 +157,34 @@ def test_operator_denominators(pp, D):
     assert rem.is_zero()
 
 
+@functools.lru_cache(maxsize=None)
+def _registry_cases(pp, D):
+    """verify's intertwining and ladder cases for one case, n <= 4."""
+    return verify.intertwining_cases(pp, D, 4) + verify.ladder_cases(pp, D, 4)
+
+
+def _registry_holds(pp, D, *identities):
+    """The registry's cases whose where starts with one of identities
+    pass; a failure names the first witness.  The identities themselves
+    are stated once, in the registry."""
+    check = agree(D.label(), str(pp), [
+        case for case in _registry_cases(pp, D)
+        if case[0].startswith(identities)])
+    assert check.ok, check.detail
+
+
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_forward_intertwining(pp, D):
     fhat = forward_op(pp, D)
     assert fhat.is_polynomial()
     assert fhat.order == D.size
-    for n in range(5):
-        got = fhat.apply(classical_poly(pp, n))
-        assert got == RatFunc(mi_poly(pp, D, n)), n
+    _registry_holds(pp, D, "Fhat P_")
 
 
 def test_seed_numerators_and_fhat_are_one_operator():
     # P_(D,n) reads the bordered Wronskian's numerators R_k, Fhat the
     # wronskian_rows minors: equal as operators, not only on P_n, n <= 5
-    from mipoly import cli
-    cases = cli._deformed_cases(max(len(cli._L_POOL), len(cli._J_POOL)))
+    cases = verify.deformed_cases(max(len(verify.L_POOL), len(verify.J_POOL)))
     cases.append((JG, IndexSet.parse("J", "1I,2I,4I,2II")))
     for pp, D in cases:
         assert DiffOp(_seed_wronskian(pp, D)) == forward_op(pp, D), \
@@ -188,30 +193,18 @@ def test_seed_numerators_and_fhat_are_one_operator():
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_backward_intertwining(pp, D):
-    bhat = backward_op(pp, D)
-    for n in range(5):
-        got = bhat.apply(mi_poly(pp, D, n))
-        assert got == RatFunc(pi_factor(pp, D, n) * classical_poly(pp, n)), n
+    # Bhat P_(D,n) = pi_D(n) P_n, expanded and in its Wronskian form
+    _registry_holds(pp, D, "Bhat P_(D,")
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_compositions_are_pi_times_identity(pp, D):
-    fhat, bhat = forward_op(pp, D), backward_op(pp, D)
-    bf = bhat.compose(fhat)
-    fb = fhat.compose(bhat)
-    for n in range(4):
-        Pn = classical_poly(pp, n)
-        assert bf.apply(Pn) == RatFunc(pi_factor(pp, D, n) * Pn)
-        PDn = mi_poly(pp, D, n)
-        assert fb.apply(PDn) == RatFunc(pi_factor(pp, D, n) * PDn)
+    _registry_holds(pp, D, "Bhat Fhat P_", "Fhat Bhat P_")
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_hamiltonian_eigen_relation(pp, D):
-    H = htilde_op(pp, D)
-    for n in range(5):
-        PDn = mi_poly(pp, D, n)
-        assert H.apply(PDn) == RatFunc(energy(pp, n) * PDn), n
+    _registry_holds(pp, D, "H P_")
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
@@ -283,20 +276,8 @@ def test_backward_op_refuses_a_gauge_left_over(pp, label, shift, error,
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)
 def test_single_step_ladder(pp, D):
-    down = single_step_forward(pp, D)
-    up = single_step_backward(pp, D)
-    pp_up = delta_shift(pp)
-    for n in range(1, 5):
-        lhs = down.apply(mi_poly(pp, D, n))
-        rhs = forward_step_eigen(pp, n) * mi_poly(pp_up, D, n - 1)
-        assert lhs == RatFunc(rhs), n
-        lhs = up.apply(mi_poly(pp_up, D, n - 1))
-        rhs = backward_step_eigen(pp, n - 1) * mi_poly(pp, D, n)
-        assert lhs == RatFunc(rhs), n
-    # eigenvalue factorization: f_n b_{n-1} = E_n
-    for n in range(1, 6):
-        assert forward_step_eigen(pp, n) * backward_step_eigen(pp, n - 1) \
-            == energy(pp, n)
+    # F_D, B_D and the factorization f_n b_(n-1) = E_n
+    _registry_holds(pp, D, "F_D P_", "B_D P_", "f_")
 
 
 @pytest.mark.parametrize("pp,D", CASES, ids=CASE_IDS)

@@ -24,7 +24,6 @@ from mipoly import cli
 ITEM_1 = "ROADMAP item 1: RatFunc arithmetic of the explicit r_(n,k)"
 ITEM_3 = "ROADMAP item 3: Xi_D at the boundary, and the span test"
 ITEM_4 = "ROADMAP item 4: benchmark names, deleted with their metrics"
-BATTERY = "perfbench/battery.py: the single-step ladders"
 DUNDER = "data-model dunder: repr, pickle, eq or hash"
 GUARD = "guard: trips only where check_genericity or immutability " \
         "stops every command first"
@@ -32,10 +31,6 @@ GUARD = "guard: trips only where check_genericity or immutability " \
 NOT_ENTERED = {
     "diffop.DiffOp.__eq__": DUNDER,
     "diffop.DiffOp.__repr__": DUNDER,
-    "diffop.single_step_forward": BATTERY,
-    "diffop.single_step_backward": BATTERY,
-    "diffop.forward_step_eigen": BATTERY,
-    "diffop.backward_step_eigen": BATTERY,
     "exact.Poly.__call__": ITEM_3,
     "exact.poly_lcm": ITEM_4,
     "exact.RatFunc.of": ITEM_1,
@@ -183,7 +178,7 @@ def test_every_function_in_src_is_entered_or_held(capsys, monkeypatch,
     stale = sorted(set(NOT_ENTERED) & reached) + \
         sorted(set(NOT_ENTERED) - names)
     assert not stale, f"NOT_ENTERED names a def a run enters, or none: {stale}"
-    assert set(NOT_ENTERED.values()) <= {ITEM_1, ITEM_3, ITEM_4, BATTERY,
-                                         DUNDER, GUARD}
+    assert set(NOT_ENTERED.values()) <= {ITEM_1, ITEM_3, ITEM_4, DUNDER,
+                                         GUARD}
     assert codes == [code for _, code in runs]
     assert stop.value.code == 0

@@ -3,8 +3,9 @@
 The two routes are computationally independent -- one never leaves the
 deformed basis, the other conjugates through the classical family -- so
 their agreement over a battery of index sets, seed polynomials Y and
-degrees n is a strong correctness check on every layer below.  On top of
-that, the degree-1 denominator examples have fully explicit closed-form
+degrees n is a strong correctness check on every layer below; that check
+is ``verify``'s recurrence suite, which the acceptance battery runs.
+Here, the degree-1 denominator examples have fully explicit closed-form
 coefficients which both routes must reproduce, and inadmissible X's must
 fail loudly (NotPolynomial from the operator route, NonzeroRemainder from
 the direct route).
@@ -15,9 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from mipoly.exact import ETA, ParamPoint, Poly, differentiate, pochhammer
+from mipoly.exact import ETA, ParamPoint, Poly, differentiate
 from mipoly.diffop import DiffOp
-from mipoly.families import GenericityViolation
 from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import (
     DegenerateLeading,
@@ -39,7 +39,8 @@ from mipoly.recurrence import (
     x_from_y,
 )
 
-from oracles import span_solve_deformed
+from oracles import (jacobi_single_seed_row, laguerre_single_seed_row,
+                     span_solve_deformed)
 
 F = Fraction
 
@@ -149,42 +150,10 @@ def test_span_test_passes_a_polynomial_outside_the_span():
         expand_in_deformed(pp, D, q)
 
 
-# -- the two routes agree --------------------------------------------------
-
-
-@pytest.mark.parametrize("pp,sets", [(LG, L_SETS), (JG, J_SETS)],
-                         ids=["L", "J"])
-def test_direct_and_theta_routes_agree(pp, sets):
-    for D in sets:
-        for Y in SEED_YS:
-            L = recurrence_order(D, Y)
-            theta = None
-            for n in range(4):
-                direct = recurrence_direct(pp, D, Y, n)
-                via = recurrence_via_theta(pp, D, Y, n)
-                assert direct == via, (D.label(), Y, n)
-                assert all(-L <= k <= L for k in direct), (D.label(), Y, n)
-                # extremal coefficients survive at generic parameters
-                assert direct[L] != 0
-                if n - L >= 0:
-                    assert direct[-L] != 0
-
-
 def test_recurrence_order_values():
     assert recurrence_order(IndexSet("L", (1,), ()), Poly.one()) == 2
     assert recurrence_order(IndexSet("L", (1,), (2,)), ETA) == 6
     assert recurrence_order(IndexSet("J", (1, 2), ()), Poly([1, 0, 1])) == 5
-
-
-def _laguerre_rnk(g, n):
-    return {
-        2: F(1, 2) * (n + 1) * (n + 2),
-        1: -(n + 1) * (2 * g + 2 * n + 3),
-        0: F(24 * n * n, 8) + F(4 * (10 * g + 11) * n, 8)
-           + (2 * g + 1) * (6 * g + 13) / 8,
-        -1: -F(1, 2) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3),
-        -2: F(1, 8) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3),
-    }
 
 
 @pytest.mark.parametrize("g", [F(7, 3), F(9, 2)])
@@ -192,32 +161,9 @@ def test_closed_form_coefficients_single_laguerre_seed(g):
     pp = ParamPoint("L", g=g)
     D = IndexSet("L", (1,), ())
     for n in range(5):
-        want = {k: v for k, v in _laguerre_rnk(g, n).items() if n + k >= 0}
+        want = laguerre_single_seed_row(g, n)
         assert recurrence_direct(pp, D, Poly.one(), n) == want, n
         assert recurrence_via_theta(pp, D, Poly.one(), n) == want, n
-
-
-def _jacobi_rnk(g, h, n):
-    a, b = g + h, g - h
-    return {
-        2: (n + 1) * (n + 2) * (b + 2) * pochhammer(a + n, 2)
-           * (2 * h + 2 * n - 3)
-           / (pochhammer(a + 2 * n, 4) * (2 * h + 2 * n + 1)),
-        1: (n + 1) * (a - 1) * (a + n) * (2 * g + 2 * n + 3)
-           * (2 * h + 2 * n - 3)
-           / (pochhammer(a + 2 * n - 1, 3) * (a + 2 * n + 3)),
-        0: (b + 2) / (4 * pochhammer(a + 2 * n - 2, 2)
-                      * pochhammer(a + 2 * n + 1, 2))
-           * (-b * (b + 4) * (2 * n * (a + n) - (a - 2) * (a - 1))
-              + (a + 2 * n - 1) * (a + 2 * n + 1)
-              * (2 * n * (a + n) - (a - 2) * (2 * a - 1))),
-        -1: (a - 1) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3)
-            * pochhammer(h + n - F(3, 2), 2)
-            / ((a + 2 * n - 3) * pochhammer(a + 2 * n - 1, 3)),
-        -2: (b + 2) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3)
-            * pochhammer(h + n - F(3, 2), 2)
-            / (4 * pochhammer(a + 2 * n - 3, 4)),
-    }
 
 
 @pytest.mark.parametrize("g,h", [(F(7, 3), F(9, 4)), (F(5, 2), F(2, 3))])
@@ -225,7 +171,7 @@ def test_closed_form_coefficients_single_jacobi_seed(g, h):
     pp = ParamPoint("J", g=g, h=h)
     D = IndexSet("J", (1,), ())
     for n in range(5):
-        want = {k: v for k, v in _jacobi_rnk(g, h, n).items() if n + k >= 0}
+        want = jacobi_single_seed_row(g, h, n)
         assert recurrence_direct(pp, D, Poly.one(), n) == want, n
         assert recurrence_via_theta(pp, D, Poly.one(), n) == want, n
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from mipoly.diffop import DiffOp
-from mipoly.exact import ETA, ParamPoint, Poly, differentiate, pochhammer
+from mipoly.exact import ETA, ParamPoint, Poly, differentiate
 from mipoly.families import (
     classical_poly,
     expand_in_classical,
@@ -27,12 +27,7 @@ from mipoly.families import (
 )
 from mipoly.mindexed import IndexSet
 import mipoly.shiftalg as shiftalg
-from mipoly.recurrence import (
-    recurrence_direct,
-    recurrence_order,
-    recurrence_via_theta,
-    theta_op,
-)
+from mipoly.recurrence import recurrence_direct, recurrence_order, theta_op
 from mipoly.shiftalg import (
     DecompositionFailure,
     NormalOrderedShift,
@@ -53,7 +48,7 @@ from mipoly.shiftalg import (
     star_identities_check,
 )
 
-from oracles import op_add, op_derivative
+from oracles import laguerre_single_seed_row, op_add, op_derivative
 
 F = Fraction
 
@@ -294,46 +289,11 @@ def test_empty_set_reduces_to_three_term_recurrence(pp):
         assert recurrence_bispectral(pp, D, Poly.one(), n) == want
 
 
-def _laguerre_rnk(g, n):
-    return {
-        2: F(1, 2) * (n + 1) * (n + 2),
-        1: -(n + 1) * (2 * g + 2 * n + 3),
-        0: F(24 * n * n, 8) + F(4 * (10 * g + 11) * n, 8)
-           + (2 * g + 1) * (6 * g + 13) / 8,
-        -1: -F(1, 2) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3),
-        -2: F(1, 8) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3),
-    }
-
-
 def test_closed_form_rows_single_laguerre_seed():
     D = IndexSet("L", (1,), ())
     for n in range(11):
-        want = {k: v for k, v in _laguerre_rnk(LG.g, n).items() if n + k >= 0}
-        assert recurrence_bispectral(LG, D, Poly.one(), n) == want, n
-
-
-SETS = {
-    "L": [IndexSet("L", (1,), ()), IndexSet("L", (), (2,)),
-          IndexSet("L", (1, 2), ()), IndexSet("L", (1,), (2,))],
-    "J": [IndexSet("J", (1,), ()), IndexSet("J", (), (2,)),
-          IndexSet("J", (1, 2), ()), IndexSet("J", (1,), (2,))],
-}
-
-
-@pytest.mark.parametrize("pp", [LG, JG])
-def test_matrix_route_equals_direct_route(pp):
-    for D in SETS[pp.family]:
-        for Y in (Poly.one(), Poly([1, 0, 1])):
-            for n in (0, 2):
-                got = recurrence_bispectral(pp, D, Y, n)
-                assert got == recurrence_direct(pp, D, Y, n), (D.label(), n)
-
-
-def test_three_routes_agree_spot():
-    D = IndexSet("L", (1,), (2,))
-    got = recurrence_bispectral(LG, D, ETA, 3)
-    assert got == recurrence_direct(LG, D, ETA, 3)
-    assert got == recurrence_via_theta(LG, D, ETA, 3)
+        assert recurrence_bispectral(LG, D, Poly.one(), n) == \
+            laguerre_single_seed_row(LG.g, n), n
 
 
 def test_jacobi_far_lower_entries_vanish():
