@@ -56,22 +56,19 @@ the R_k and returns them as polynomial numerators over one den, with the
 gauge left over.  From the seeds they give each P_{D,n} in ``mindexed``,
 from the dual seeds the backward operator Bhat in ``diffop``.
 
-The classical determinant identities the construction leans on --
-common-factor scaling, the nested-pair product, behaviour under a change
-of variable, and the collapse of the matrix of cofactor minors -- are
-bundled into a seeded self-check suite (``wronskian_identities_check``,
-one ``checks.Check`` row per identity, naming the first failing
-instance) so ``verify`` and the acceptance battery can re-run them.
+``poly_wronskian`` is the Wronskian of plain polynomials.  ``verify``'s
+seeded ``wronskian`` suite checks with it the classical determinant
+identities the construction leans on: common-factor scaling, the
+nested-pair product, a change of variable and the cofactor minors.  The
+rows live in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .checks import Report, agree
 from .exact import (
     ETA,
     ONE,
@@ -358,70 +355,6 @@ def bordered_wronskian(fs: Sequence[Column], gauge: Sequence):
     return _fold(exps, rs, ONE)
 
 
-# -- seeded identity suite ---------------------------------------------------
-
-
-def _random_poly(rng: random.Random, max_degree: int,
-                 nonzero: bool = False) -> Poly:
-    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-              for _ in range(rng.randint(0, max_degree) + 1)]
-    p = Poly(coeffs)
-    if nonzero and p.is_zero():
-        p = p + Poly.one()
-    return p
-
-
 def poly_wronskian(fs: Sequence[Poly]) -> Poly:
     """Wronskian of plain polynomials (gaugeless columns)."""
     return _poly_nums(wronskian([((0, 0, 0, 0), f) for f in fs]))[0]
-
-
-def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
-    """Exercise the four determinant identities on random polynomials.
-
-    Per trial: up to four columns of degree <= 5.  Returns one check row
-    per identity; everything is exact, so ok is a genuine identity
-    check, not a tolerance.  Each trial gives (expected, actual).
-    """
-    rng = random.Random(seed)
-
-    def common_factor():
-        # W[g f_1, ..., g f_n] = g^n W[f_1, ..., f_n]
-        n = rng.randint(1, 4)
-        fs = [_random_poly(rng, 5) for _ in range(n)]
-        g = _random_poly(rng, 5, nonzero=True)
-        return g ** n * poly_wronskian(fs), poly_wronskian([g * f for f in fs])
-
-    def nested_pair():
-        # W[ W[f..., g], W[f..., h] ] = W[f...] W[f..., g, h]
-        n = rng.randint(0, 3)
-        fs = [_random_poly(rng, 5) for _ in range(n)]
-        g = _random_poly(rng, 5)
-        h = _random_poly(rng, 5)
-        lhs = poly_wronskian([poly_wronskian(fs + [g]),
-                              poly_wronskian(fs + [h])])
-        return poly_wronskian(fs) * poly_wronskian(fs + [g, h]), lhs
-
-    def variable_change():
-        # under eta = x^2 the Wronskian picks up (d eta/dx)^(n(n-1)/2)
-        n = rng.randint(1, 4)
-        fs = [_random_poly(rng, 5) for _ in range(n)]
-        square = Poly([0, 0, 1])
-        lhs = poly_wronskian([f.compose(square) for f in fs])
-        rhs = Poly([0, 2]) ** (n * (n - 1) // 2) \
-            * poly_wronskian(fs).compose(square)
-        return rhs, lhs
-
-    def cofactor_minors():
-        # the Wronskian of the n omit-one-column minors collapses to a
-        # power of the full Wronskian (up to the triangular sign)
-        n = rng.randint(2, 4)
-        fs = [_random_poly(rng, 5) for _ in range(n)]
-        minors = [poly_wronskian(fs[:j] + fs[j + 1:]) for j in range(n)]
-        sign = (-1) ** (n * (n - 1) // 2)
-        return sign * poly_wronskian(fs) ** (n - 1), poly_wronskian(minors)
-
-    return [agree(trial.__name__, f"{trials} seeded instances",
-                  ((f"instance {i}", *trial()) for i in range(trials)))
-            for trial in (common_factor, nested_pair, variable_change,
-                          cofactor_minors)]

@@ -43,15 +43,15 @@ column maps: ``column(n)`` is the whole expansion of Op P_n, never
 truncated, and S * T applies S to each column of T ("T first", as for
 matrices).  ``delta_matrix`` and ``gamma_matrix`` are the eta- and
 derivative actions and ``flat_map`` the column action of any operator;
-the commutator and power-formula checks read them column by column, for
-any n, with no window to track.
+``verify``'s commutator and power-formula rows read them column by
+column, for any n, with no window to track.
 
 The normal-ordered shift layer implements substitution
 operators f(n) |-> f(n + g(n)) on polynomials in the index, with their
-star-product composition law.  It exists to verify the shift calculus
-(composition identities, collapse to evaluation, commutator cross
-terms) on explicit functions, independently of any matrix truncation.
-The ``*_check`` functions return ``checks.Check`` rows with witnesses.
+star-product composition law.  With ``bnk_value``, the commutator cross
+terms, and the closed-form power columns it is what ``verify``'s
+``shiftalg`` and ``bnk`` suites check, on explicit functions and
+independently of any matrix truncation; the rows live in ``verify``.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ import functools
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Tuple
 
-from .checks import Report, agree
 from .diffop import DiffOp
 from .exact import (
     ONE,
@@ -127,67 +126,6 @@ def bnk_value(pp: ParamPoint, n: int, k: int) -> Fraction:
             + C_n * cnk(pp, n - 1, k - 1) - C_low * cnk(pp, n, k - 1))
 
 
-def cross_term_cases(pp: ParamPoint, nmax: int):
-    """(b(n,k), 0, value) cases for 1 <= k <= n <= nmax."""
-    return ((f"b({n},{k})", 0, bnk_value(pp, n, k))
-            for n in range(1, nmax + 1) for k in range(1, n + 1))
-
-
-def commutator_check(pp: ParamPoint, nmax: int) -> Report:
-    """The two faces of [derivative-action, eta-action] = identity."""
-    d, g = delta_matrix(pp), gamma_matrix(pp)
-    bracket = g * d - d * g
-    return [agree("commutator_window", f"{pp}; columns n <= {nmax}",
-                  ((f"column {n}", {n: 1}, bracket.column(n))
-                   for n in range(nmax + 1))),
-            agree("cross_terms_vanish", f"{pp}; n <= {nmax}",
-                  cross_term_cases(pp, nmax))]
-
-
-def star_identities_check(seed: int = 0, trials: int = 10) -> Report:
-    """Substitution-calculus identities on explicit polynomials."""
-    import random                                  # deterministic, seeded
-    rng = random.Random(seed)
-
-    def rand_poly(deg: int) -> Poly:
-        return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                     for _ in range(deg + 1)])
-
-    a, b = Fraction(3, 2), Fraction(-5, 3)
-    ca, cb = NormalOrderedShift(Poly([a])), NormalOrderedShift(Poly([b]))
-    oj = NormalOrderedShift(Poly([-b, -1]))
-    fixed = [
-        ("constants_add", f"a={a}, b={b}", Poly([a + b]), ca.star(cb)),
-        ("collapse_absorbs_left", "constant then collapse", oj.displacement,
-         ca.star(oj)),
-        ("collapse_shifts_right", "collapse then constant",
-         Poly([-(b - a), -1]), oj.star(ca)),
-        ("collapse_absorbs_collapse", "j=2, k=5",
-         collapsing_shift(5).displacement,
-         collapsing_shift(2).star(collapsing_shift(5)))]
-    out = [agree(name, detail, [("displacement", want, got.displacement)])
-           for name, detail, want, got in fixed]
-
-    assoc, composition, absorb = [], [], []
-    for i in range(trials):
-        s1, s2, s3 = (NormalOrderedShift(rand_poly(2)) for _ in range(3))
-        f = rand_poly(3)
-        assoc.append((f"trial {i}", s1.star(s2).star(s3).displacement,
-                      s1.star(s2.star(s3)).displacement))
-        composition.append((f"trial {i}", s1.apply(s2.apply(f)),
-                            s1.star(s2).apply(f)))
-        j, k = rng.randint(1, 6), rng.randint(1, 6)
-        absorb.append((f"trial {i}, j={j}, k={k}", collapsing_shift(k).apply(f),
-                       collapsing_shift(j).star(collapsing_shift(k)).apply(f)))
-    return out + [
-        agree("star_associative", f"seed {seed}; {trials} random triples",
-              assoc),
-        agree("star_matches_composition",
-              f"seed {seed}; {trials} random pairs", composition),
-        agree("collapse_action_absorbs", f"seed {seed}; {trials} random j,k",
-              absorb)]
-
-
 # -- closed forms for powers of the two actions ------------------------------
 
 
@@ -238,26 +176,6 @@ def gamma_power_column(pp: ParamPoint, j: int, n: int) -> Column:
             total += factor
         if total:
             out[n - k1] = total
-    return out
-
-
-def power_formulas_check(pp: ParamPoint, nmax: int) -> Report:
-    """Closed-form power columns against repeated products: powers 1 to 3,
-    columns n <= nmax."""
-    out: Report = []
-    d, g = delta_matrix(pp), gamma_matrix(pp)
-    dprod, gprod = d, g
-    detail = f"{pp}; columns n <= {nmax}"
-    for i in range(1, 4):
-        out.append(agree(f"eta_power_{i}", detail,
-                         ((f"column {n}", dprod.column(n),
-                           delta_power_column(pp, i, n))
-                          for n in range(nmax + 1))))
-        out.append(agree(f"derivative_power_{i}", detail,
-                         ((f"column {n}", gprod.column(n),
-                           gamma_power_column(pp, i, n))
-                          for n in range(nmax + 1))))
-        dprod, gprod = d * dprod, g * gprod
     return out
 
 

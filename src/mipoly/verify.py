@@ -1,12 +1,16 @@
-"""The registry of named checks: the seven suites that ``verify`` runs.
+"""The registry of named checks: the seven suites that ``verify`` runs,
+and every row builder they use.
 
 Each suite takes explicit inputs (points or (point, index set) cases,
 nmax, seed polynomials Y, seed, trials) and returns ``checks.Check``
-rows.  ``SUITES`` binds each to ``verify``'s flags; the acceptance
-battery runs ``recurrence``, ``diffop`` and ``mindexed`` over its own
-index sets at n <= 8.  ``diffop``'s ``ladder`` row is the single-step
-Darboux-Crum chain, which shares no code with the M-step Fhat and Bhat
-of its ``intertwining`` row.  The pools are kept generic: g and h off
+rows; the library layers hold only the mathematics the rows read.
+``SUITES`` binds each to ``verify``'s flags, and the acceptance battery
+runs all seven over its own inputs.  ``diffop``'s ``ladder`` row is the
+single-step Darboux-Crum chain, which shares no code with the M-step
+Fhat and Bhat of its ``intertwining`` row.  A case that the construction
+refuses (a vanishing member or pi_D, a Theta or Bhat that is not
+polynomial) fails its own rows with the cause; any other exception is
+a bug and crashes the suite.  The pools are kept generic: g and h off
 the half-integers (those zero a leading coefficient for some seed) and,
 for Jacobi, g - h off the integers so the twisted three-term
 recurrences stay defined.
@@ -15,22 +19,25 @@ recurrences stay defined.
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .checks import Check, Report, agree, route_agreement, y_routes
-from .diffop import (backward_apply_via_wronskian, backward_op,
-                     backward_step_eigen, forward_op, forward_step_eigen,
-                     htilde_op, single_step_backward, single_step_forward)
+from .diffop import (DenominatorEscape, backward_apply_via_wronskian,
+                     backward_op, backward_step_eigen, forward_op,
+                     forward_step_eigen, htilde_op, single_step_backward,
+                     single_step_forward)
 from .exact import ETA, ParamPoint, Poly, RatFunc, differentiate
-from .families import (classical_poly, cnk, delta_shift, energy,
-                       expand_in_classical, recurrence_abc)
-from .gauged import wronskian_identities_check
-from .mindexed import (IndexSet, mi_poly, p_leading, pi_factor,
-                       plusdelta_constant, xi_leading, xi_poly)
+from .families import (GenericityViolation, classical_poly, cnk, delta_shift,
+                       energy, expand_in_classical, recurrence_abc)
+from .gauged import NotPolynomial, poly_wronskian
+from .mindexed import (DegenerateLeading, IndexSet, mi_poly, p_leading,
+                       pi_factor, plusdelta_constant, xi_leading, xi_poly)
 from .recurrence import recurrence_order
-from .shiftalg import (commutator_check, cross_term_cases,
-                       power_formulas_check, star_identities_check)
+from .shiftalg import (NormalOrderedShift, bnk_value, collapsing_shift,
+                       delta_matrix, delta_power_column, gamma_matrix,
+                       gamma_power_column)
 
 Case = Tuple[ParamPoint, IndexSet]
 
@@ -66,6 +73,87 @@ def set_label(pp: ParamPoint, D: IndexSet) -> str:
     return ",".join([family, D.label(), *params])
 
 
+# what the construction raises at a degenerate case
+DEGENERATE = (GenericityViolation, DegenerateLeading, NotPolynomial,
+              DenominatorEscape)
+
+
+def _row(name: str, detail: str, build: Callable[[], Check]) -> Check:
+    """build()'s row; a case that raises one of DEGENERATE fails the row,
+    named, with the exception as its witness."""
+    try:
+        return build()
+    except DEGENERATE as exc:
+        return Check(name, False, f"{detail}; {type(exc).__name__}: {exc}")
+
+
+# -- the determinant identities ----------------------------------------------
+
+
+def _random_poly(rng: random.Random, max_degree: int,
+                 nonzero: bool = False) -> Poly:
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(rng.randint(0, max_degree) + 1)]
+    p = Poly(coeffs)
+    if nonzero and p.is_zero():
+        p = p + Poly.one()
+    return p
+
+
+def wronskian_identities_check(seed: int = 0, trials: int = 12) -> Report:
+    """Exercise the four determinant identities on random polynomials.
+
+    Per trial: up to four columns of degree <= 5.  Returns one check row
+    per identity; everything is exact, so ok is a genuine identity
+    check, not a tolerance.  Each trial gives (expected, actual).
+    """
+    rng = random.Random(seed)
+
+    def common_factor():
+        # W[g f_1, ..., g f_n] = g^n W[f_1, ..., f_n]
+        n = rng.randint(1, 4)
+        fs = [_random_poly(rng, 5) for _ in range(n)]
+        g = _random_poly(rng, 5, nonzero=True)
+        return g ** n * poly_wronskian(fs), poly_wronskian([g * f for f in fs])
+
+    def nested_pair():
+        # W[ W[f..., g], W[f..., h] ] = W[f...] W[f..., g, h]
+        n = rng.randint(0, 3)
+        fs = [_random_poly(rng, 5) for _ in range(n)]
+        g = _random_poly(rng, 5)
+        h = _random_poly(rng, 5)
+        lhs = poly_wronskian([poly_wronskian(fs + [g]),
+                              poly_wronskian(fs + [h])])
+        return poly_wronskian(fs) * poly_wronskian(fs + [g, h]), lhs
+
+    def variable_change():
+        # under eta = x^2 the Wronskian picks up (d eta/dx)^(n(n-1)/2)
+        n = rng.randint(1, 4)
+        fs = [_random_poly(rng, 5) for _ in range(n)]
+        square = Poly([0, 0, 1])
+        lhs = poly_wronskian([f.compose(square) for f in fs])
+        rhs = Poly([0, 2]) ** (n * (n - 1) // 2) \
+            * poly_wronskian(fs).compose(square)
+        return rhs, lhs
+
+    def cofactor_minors():
+        # the Wronskian of the n omit-one-column minors collapses to a
+        # power of the full Wronskian (up to the triangular sign)
+        n = rng.randint(2, 4)
+        fs = [_random_poly(rng, 5) for _ in range(n)]
+        minors = [poly_wronskian(fs[:j] + fs[j + 1:]) for j in range(n)]
+        sign = (-1) ** (n * (n - 1) // 2)
+        return sign * poly_wronskian(fs) ** (n - 1), poly_wronskian(minors)
+
+    return [agree(trial.__name__, f"{trials} seeded instances",
+                  ((f"instance {i}", *trial()) for i in range(trials)))
+            for trial in (common_factor, nested_pair, variable_change,
+                          cofactor_minors)]
+
+
+# -- the suites over points and index sets -----------------------------------
+
+
 def families(points: Sequence[ParamPoint], nmax: int) -> Report:
     report: Report = []
     for pp in points:
@@ -85,21 +173,29 @@ def families(points: Sequence[ParamPoint], nmax: int) -> Report:
     return report
 
 
+def construction_cases(pp: ParamPoint, D: IndexSet, nmax: int) -> list:
+    """(where, expected, actual) of the degrees and leading coefficients
+    of Xi and of each P_(D,n), n <= nmax, then of the lowest member as
+    Xi at the shifted point."""
+    xi = xi_poly(pp, D)
+    cases = [("deg Xi", D.ell, xi.degree),
+             ("lc Xi", xi_leading(pp, D), xi.lc())]
+    for n in range(nmax + 1):
+        p = mi_poly(pp, D, n)
+        cases += [(f"deg P_(D,{n})", D.ell + n, p.degree),
+                  (f"lc P_(D,{n})", p_leading(pp, D, n), p.lc())]
+    cases.append(("P_(D,0)", plusdelta_constant(pp, D)
+                  * xi_poly(delta_shift(pp), D), mi_poly(pp, D, 0)))
+    return cases
+
+
 def mindexed(cases: Sequence[Case], nmax: int) -> Report:
     report: Report = []
+    detail = f"degrees, leadings, lowest member; n <= {nmax}"
     for pp, D in cases:
-        xi = xi_poly(pp, D)
-        checked = [("deg Xi", D.ell, xi.degree),
-                   ("lc Xi", xi_leading(pp, D), xi.lc())]
-        for n in range(nmax + 1):
-            p = mi_poly(pp, D, n)
-            checked += [(f"deg P_(D,{n})", D.ell + n, p.degree),
-                        (f"lc P_(D,{n})", p_leading(pp, D, n), p.lc())]
-        checked.append(("P_(D,0)", plusdelta_constant(pp, D)
-                        * xi_poly(delta_shift(pp), D), mi_poly(pp, D, 0)))
-        report.append(agree(f"construction[{set_label(pp, D)}]",
-                            f"degrees, leadings, lowest member; n <= {nmax}",
-                            checked))
+        name = f"construction[{set_label(pp, D)}]"
+        report.append(_row(name, detail, lambda: agree(
+            name, detail, construction_cases(pp, D, nmax))))
     return report
 
 
@@ -156,14 +252,14 @@ def diffop(cases: Sequence[Case], nmax: int) -> Report:
     report: Report = []
     for pp, D in cases:
         label = set_label(pp, D)
-        report.append(agree(
-            f"intertwining[{label}]",
-            f"forward/backward/compositions/eigen/Wronskian; n <= {nmax}",
-            intertwining_cases(pp, D, nmax)))
-        report.append(agree(
-            f"ladder[{label}]", f"{pp}, {D.label()}; F_D, B_D and "
-            f"f_n b_(n-1) = E_n for 1 <= n <= {nmax}",
-            ladder_cases(pp, D, nmax)))
+        for name, detail, rows in (
+                (f"intertwining[{label}]",
+                 f"forward/backward/compositions/eigen/Wronskian; "
+                 f"n <= {nmax}", intertwining_cases),
+                (f"ladder[{label}]", f"{pp}, {D.label()}; F_D, B_D and "
+                 f"f_n b_(n-1) = E_n for 1 <= n <= {nmax}", ladder_cases)):
+            report.append(_row(name, detail, lambda: agree(
+                name, detail, rows(pp, D, nmax))))
     return report
 
 
@@ -172,12 +268,89 @@ def recurrence(cases: Sequence[Case], ys: Sequence[Poly], nmax: int) -> Report:
     for pp, D in cases:
         for Y in ys:
             L = recurrence_order(D, Y)
-            report.append(route_agreement(
-                f"routes[{set_label(pp, D)},degY={Y.degree}]",
-                f"three routes agree, in the band |k| <= {L}, "
-                f"for n <= {nmax}",
-                y_routes(pp, D, Y), nmax, band=L)[1])
+            name = f"routes[{set_label(pp, D)},degY={Y.degree}]"
+            detail = (f"three routes agree, in the band |k| <= {L}, "
+                      f"for n <= {nmax}")
+            report.append(_row(name, detail, lambda: route_agreement(
+                name, detail, y_routes(pp, D, Y), nmax, band=L)[1]))
     return report
+
+
+# -- the shift calculus and the index-shift actions --------------------------
+
+
+def commutator_check(pp: ParamPoint, nmax: int) -> Report:
+    """The two faces of [derivative-action, eta-action] = identity."""
+    d, g = delta_matrix(pp), gamma_matrix(pp)
+    bracket = g * d - d * g
+    return [agree("commutator_window", f"{pp}; columns n <= {nmax}",
+                  ((f"column {n}", {n: 1}, bracket.column(n))
+                   for n in range(nmax + 1))),
+            agree("cross_terms_vanish", f"{pp}; n <= {nmax}",
+                  cross_term_cases(pp, nmax))]
+
+
+def star_identities_check(seed: int = 0, trials: int = 10) -> Report:
+    """Substitution-calculus identities on explicit polynomials."""
+    rng = random.Random(seed)
+
+    def rand_poly(deg: int) -> Poly:
+        return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(deg + 1)])
+
+    a, b = Fraction(3, 2), Fraction(-5, 3)
+    ca, cb = NormalOrderedShift(Poly([a])), NormalOrderedShift(Poly([b]))
+    oj = NormalOrderedShift(Poly([-b, -1]))
+    fixed = [
+        ("constants_add", f"a={a}, b={b}", Poly([a + b]), ca.star(cb)),
+        ("collapse_absorbs_left", "constant then collapse", oj.displacement,
+         ca.star(oj)),
+        ("collapse_shifts_right", "collapse then constant",
+         Poly([-(b - a), -1]), oj.star(ca)),
+        ("collapse_absorbs_collapse", "j=2, k=5",
+         collapsing_shift(5).displacement,
+         collapsing_shift(2).star(collapsing_shift(5)))]
+    out = [agree(name, detail, [("displacement", want, got.displacement)])
+           for name, detail, want, got in fixed]
+
+    assoc, composition, absorb = [], [], []
+    for i in range(trials):
+        s1, s2, s3 = (NormalOrderedShift(rand_poly(2)) for _ in range(3))
+        f = rand_poly(3)
+        assoc.append((f"trial {i}", s1.star(s2).star(s3).displacement,
+                      s1.star(s2.star(s3)).displacement))
+        composition.append((f"trial {i}", s1.apply(s2.apply(f)),
+                            s1.star(s2).apply(f)))
+        j, k = rng.randint(1, 6), rng.randint(1, 6)
+        absorb.append((f"trial {i}, j={j}, k={k}", collapsing_shift(k).apply(f),
+                       collapsing_shift(j).star(collapsing_shift(k)).apply(f)))
+    return out + [
+        agree("star_associative", f"seed {seed}; {trials} random triples",
+              assoc),
+        agree("star_matches_composition",
+              f"seed {seed}; {trials} random pairs", composition),
+        agree("collapse_action_absorbs", f"seed {seed}; {trials} random j,k",
+              absorb)]
+
+
+def power_formulas_check(pp: ParamPoint, nmax: int) -> Report:
+    """Closed-form power columns against repeated products: powers 1 to 3,
+    columns n <= nmax."""
+    out: Report = []
+    d, g = delta_matrix(pp), gamma_matrix(pp)
+    dprod, gprod = d, g
+    detail = f"{pp}; columns n <= {nmax}"
+    for i in range(1, 4):
+        out.append(agree(f"eta_power_{i}", detail,
+                         ((f"column {n}", dprod.column(n),
+                           delta_power_column(pp, i, n))
+                          for n in range(nmax + 1))))
+        out.append(agree(f"derivative_power_{i}", detail,
+                         ((f"column {n}", gprod.column(n),
+                           gamma_power_column(pp, i, n))
+                          for n in range(nmax + 1))))
+        dprod, gprod = d * dprod, g * gprod
+    return out
 
 
 def shiftalg(points: Sequence[ParamPoint], nmax: int, seed: int,
@@ -187,6 +360,12 @@ def shiftalg(points: Sequence[ParamPoint], nmax: int, seed: int,
         report += commutator_check(pp, nmax)
         report += power_formulas_check(pp, nmax)
     return report
+
+
+def cross_term_cases(pp: ParamPoint, nmax: int):
+    """(b(n,k), 0, value) cases for 1 <= k <= n <= nmax."""
+    return ((f"b({n},{k})", 0, bnk_value(pp, n, k))
+            for n in range(1, nmax + 1) for k in range(1, n + 1))
 
 
 def bnk(points: Sequence[ParamPoint], nmax: int) -> Report:

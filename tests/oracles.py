@@ -29,12 +29,19 @@ identities of ``test_diffop``, ``test_shiftalg`` and ``test_acceptance``.
 
 Closed forms.  ``laguerre_single_seed_row`` and ``jacobi_single_seed_row``
 are the r_(n,k) of the single seed 1I with Y = 1, written out by hand,
-which every route must reproduce.
+which every route must reproduce.  ``laguerre_two_seed_quartic`` and
+``jacobi_two_seed_quartic`` are -2 Xi and 64 Xi of the set 1I,2II, and
+``LAGUERRE_QUARTIC_FACTORIZATIONS`` the points where the first factors
+over the rationals.
+
+Cold caches.  ``clear_library_caches`` empties every ``lru_cache`` of the
+loaded ``mipoly`` modules, for tests that count or trace a cold run.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from typing import Dict, List
 
@@ -220,6 +227,40 @@ def op_sub(S: DiffOp, T: DiffOp) -> DiffOp:
     return op_add(S, op_neg(T))
 
 
+def laguerre_two_seed_quartic(g: Fraction) -> Poly:
+    """-2 Xi of L 1I,2II: eta^4 + 2(2g-3) eta^3 + (g-5/2)(6g-1) eta^2
+    + 2 (g-5/2)_2 (2g+1) eta + (g-5/2)_4."""
+    return Poly([
+        pochhammer(g - Fraction(5, 2), 4),
+        2 * pochhammer(g - Fraction(5, 2), 2) * (2 * g + 1),
+        (g - Fraction(5, 2)) * (6 * g - 1),
+        2 * (2 * g - 3),
+        1,
+    ])
+
+
+# (g, -2 Xi of L 1I,2II) where the quartic factors over the rationals
+LAGUERRE_QUARTIC_FACTORIZATIONS = [
+    (Fraction(-1, 2), Poly([0, 0, 1]) * Poly([-2, 1]) * Poly([-6, 1])),
+    (Fraction(3, 2), Poly([0, 0, 1]) * Poly([-8, 0, 1])),
+    (Fraction(5, 2), Poly([0, 0, 0, 1]) * Poly([4, 1])),
+    (Fraction(-13, 2), Poly([-6, 1]) ** 3 * Poly([-14, 1])),
+]
+
+
+def jacobi_two_seed_quartic(g: Fraction, h: Fraction) -> Poly:
+    """64 Xi of J 1I,2II, written in a = g + h and b = g - h."""
+    a, b = g + h, g - h
+    return Poly([
+        a ** 3 * (a - 4) + 2 * a * a * (b - 3) - 4 * a * (b - 5)
+        - (b - 3) * (b - 1),
+        4 * (a - 1) * (b - 1) * (a * (a - 2) + b - 3),
+        2 * (b - 1) * (a * (a - 2) * (3 * b - 4) + (b + 4) * (b - 3)),
+        4 * (a - 1) * (b - 3) * (b - 1) * b,
+        (b - 4) * (b - 3) * (b - 1) * (b + 2),
+    ])
+
+
 def laguerre_single_seed_row(g: Fraction, n: int) -> Dict[int, Fraction]:
     """r_(n,k), n + k >= 0, for L at g, D = 1I and Y = 1."""
     row = {
@@ -253,3 +294,11 @@ def jacobi_single_seed_row(g: Fraction, h: Fraction,
             * P(h + n - Fraction(3, 2), 2) / (4 * P(a + 2 * n - 3, 4)),
     }
     return {k: v for k, v in row.items() if n + k >= 0}
+
+
+def clear_library_caches():
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("mipoly"):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

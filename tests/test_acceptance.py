@@ -6,9 +6,9 @@ FAILED line instead.  Expected values are restated from closed forms,
 here or in the tests' ``oracles``, rather than imported from the
 library, so a regression cannot hide behind a shared helper, and where
 a wall-clock budget is part of the guarantee it is asserted, not just
-reported.  The battery tests 6 and 7 instead run the named checks of
-``verify``'s registry over the battery and assert that every row
-passes, so a failure prints each failing row with its witness.
+reported.  Tests 5 to 9 instead run the named checks of ``verify``'s
+registry, all seven suites, and assert that every row passes, so a
+failure prints each failing row with its witness.
 
 The battery runs over every index set with at most three seeds drawn
 from {1, 2, 3} x {I, II} (42 sets per parametric family) at one generic
@@ -17,7 +17,6 @@ Laguerre and one generic Jacobi parameter point.
 
 import itertools
 import json
-import math
 import time
 from fractions import Fraction
 
@@ -25,9 +24,8 @@ import pytest
 
 from mipoly import verify
 from mipoly.cli import main as cli_main
-from mipoly.diffop import DiffOp
-from mipoly.exact import ETA, ParamPoint, Poly, integrate_from_zero, pochhammer
-from mipoly.gauged import NotPolynomial, wronskian_identities_check
+from mipoly.exact import ETA, ParamPoint, Poly, integrate_from_zero
+from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import IndexSet, xi_poly
 from mipoly.recurrence import (
     recurrence_direct,
@@ -35,19 +33,11 @@ from mipoly.recurrence import (
     theta_from_x,
     theta_op,
 )
-from mipoly.shiftalg import (
-    OpMatrix,
-    bnk_value,
-    delta_matrix,
-    flat_map,
-    gamma_matrix,
-    power_formulas_check,
-    recurrence_bispectral,
-    star_identities_check,
-)
+from mipoly.shiftalg import flat_map, recurrence_bispectral
 
-from oracles import (jacobi_single_seed_row, laguerre_single_seed_row, op_add,
-                     op_derivative)
+from oracles import (LAGUERRE_QUARTIC_FACTORIZATIONS, jacobi_single_seed_row,
+                     jacobi_two_seed_quartic, laguerre_single_seed_row,
+                     laguerre_two_seed_quartic)
 
 F = Fraction
 
@@ -81,61 +71,39 @@ def _report(num, label, t0, budget=None):
     print(f"PASS {num:2d} {label} ({elapsed:.2f}s)")
 
 
+def _all_pass(report, rows):
+    """Every row of a registry suite passes; the failing rows, each with
+    its witness, are the assert message."""
+    failed = [f"{row.name}: {row.detail}" for row in report if not row.ok]
+    assert not failed, "\n".join(failed)
+    assert len(report) == rows
+
+
 # -- 1, 2: the two-seed quartic denominators --------------------------------
-
-
-def _laguerre_two_seed_quartic(g):
-    # -2 Xi = eta^4 + 2(2g-3) eta^3 + (g-5/2)(6g-1) eta^2
-    #         + 2 (g-5/2)_2 (2g+1) eta + (g-5/2)_4
-    return Poly([
-        pochhammer(g - F(5, 2), 4),
-        2 * pochhammer(g - F(5, 2), 2) * (2 * g + 1),
-        (g - F(5, 2)) * (6 * g - 1),
-        2 * (2 * g - 3),
-        1,
-    ])
 
 
 def test_01_laguerre_two_seed_quartic():
     t0 = time.perf_counter()
     D = IndexSet("L", (1,), (2,))
-    for g in (F(7, 3), F(9, 4), F(1, 5), F(3), F(11, 6), F(-3, 4)):
+    for g in (F(7, 3), F(9, 4), F(1, 5), F(1, 4), F(3), F(11, 6), F(-3, 4)):
         xi = xi_poly(ParamPoint("L", g=g), D)
-        assert -2 * xi == _laguerre_two_seed_quartic(g), g
+        assert -2 * xi == laguerre_two_seed_quartic(g), g
     # special parameters where the quartic factors over the rationals
-    factored = [
-        (F(-1, 2), Poly([0, 0, 1]) * Poly([-2, 1]) * Poly([-6, 1])),
-        (F(3, 2), Poly([0, 0, 1]) * Poly([-8, 0, 1])),
-        (F(5, 2), Poly([0, 0, 0, 1]) * Poly([4, 1])),
-        (F(-13, 2), Poly([-6, 1]) ** 3 * Poly([-14, 1])),
-    ]
-    for g, product in factored:
+    for g, product in LAGUERRE_QUARTIC_FACTORIZATIONS:
         xi = xi_poly(ParamPoint("L", g=g), D)
         assert -2 * xi == product, g
-        assert -2 * xi == _laguerre_two_seed_quartic(g), g
+        assert -2 * xi == laguerre_two_seed_quartic(g), g
     _report(1, "Laguerre two-seed quartic + factorizations", t0, budget=1.0)
-
-
-def _jacobi_two_seed_quartic(a, b):
-    # 64 Xi written in the combinations a = g + h, b = g - h
-    return Poly([
-        a ** 3 * (a - 4) + 2 * a * a * (b - 3) - 4 * a * (b - 5)
-        - (b - 3) * (b - 1),
-        4 * (a - 1) * (b - 1) * (a * (a - 2) + b - 3),
-        2 * (b - 1) * (a * (a - 2) * (3 * b - 4) + (b + 4) * (b - 3)),
-        4 * (a - 1) * (b - 3) * (b - 1) * b,
-        (b - 4) * (b - 3) * (b - 1) * (b + 2),
-    ])
 
 
 def test_02_jacobi_two_seed_quartic():
     t0 = time.perf_counter()
     D = IndexSet("J", (1,), (2,))
     pairs = [(F(7, 3), F(9, 4)), (F(8, 3), F(7, 4)), (F(13, 4), F(10, 3)),
-             (F(16, 5), F(9, 4)), (F(18, 5), F(4, 3))]
+             (F(16, 5), F(9, 4)), (F(18, 5), F(4, 3)), (F(5, 2), F(2, 3))]
     for g, h in pairs:
         xi = xi_poly(ParamPoint("J", g=g, h=h), D)
-        assert 64 * xi == _jacobi_two_seed_quartic(g + h, g - h), (g, h)
+        assert 64 * xi == jacobi_two_seed_quartic(g, h), (g, h)
     _report(2, "Jacobi two-seed quartic in (g+h, g-h)", t0, budget=1.0)
 
 
@@ -145,7 +113,7 @@ def test_02_jacobi_two_seed_quartic():
 def test_03_laguerre_recurrence_tables():
     t0 = time.perf_counter()
     D = IndexSet("L", (1,), ())
-    for g in (F(2), F(7, 3), F(9, 4)):
+    for g in (F(2), F(7, 3), F(9, 4), F(9, 2)):
         pp = ParamPoint("L", g=g)
         for n in range(13):
             want = laguerre_single_seed_row(g, n)
@@ -159,7 +127,8 @@ def test_03_laguerre_recurrence_tables():
 def test_04_jacobi_recurrence_tables():
     t0 = time.perf_counter()
     D = IndexSet("J", (1,), ())
-    for g, h in ((F(7, 3), F(9, 4)), (F(3), F(5, 2)), (F(13, 5), F(7, 2))):
+    for g, h in ((F(7, 3), F(9, 4)), (F(3), F(5, 2)), (F(13, 5), F(7, 2)),
+                 (F(5, 2), F(2, 3))):
         pp = ParamPoint("J", g=g, h=h)
         for n in range(11):
             want = jacobi_single_seed_row(g, h, n)
@@ -190,23 +159,12 @@ def test_05_cross_terms_vanish():
         ParamPoint("J", g=F(8, 3), h=F(7, 4)),
         ParamPoint("J", g=F(16, 5), h=F(9, 4)),
     ]
-    for pp in points:
-        for n in range(1, 21):
-            for k in range(1, n + 1):
-                assert bnk_value(pp, n, k) == 0, (pp.family, n, k)
+    _all_pass(verify.bnk(points, 20), len(points))
     _report(5, "commutator cross terms vanish, n <= 20, all families", t0,
             budget=10.0)
 
 
 # -- 6: constant-coefficient closure over the full battery -------------------
-
-
-def _all_pass(report, rows):
-    """Every row of a registry suite passes; the failing rows, each with
-    its witness, are the assert message."""
-    failed = [f"{row.name}: {row.detail}" for row in report if not row.ok]
-    assert not failed, "\n".join(failed)
-    assert len(report) == rows
 
 
 def test_06_recurrence_closure_battery():
@@ -246,55 +204,18 @@ def test_07_operator_identities_battery():
 
 def test_08_wronskian_identity_suite():
     t0 = time.perf_counter()
-    report = wronskian_identities_check(seed=20260814, trials=50)
-    assert [name for name, _, _ in report] == [
-        "common_factor", "nested_pair", "variable_change", "cofactor_minors"]
-    for name, ok, detail in report:
-        assert ok, (name, detail)
+    _all_pass(verify.wronskian_identities_check(seed=20260814, trials=50), 4)
     _report(8, "determinant identities, 50 seeded instances each", t0)
 
 
-# -- 9: substitution calculus, power formulas, normal ordering ---------------
+# -- 9: substitution calculus, commutator and power formulas -----------------
 
 
 def test_09_shift_algebra_calculus():
     t0 = time.perf_counter()
-    star_report = star_identities_check(seed=13, trials=12)
-    names = [name for name, _, _ in star_report]
-    for expected in ("constants_add", "collapse_absorbs_left",
-                     "collapse_shifts_right", "collapse_absorbs_collapse",
-                     "star_associative"):
-        assert expected in names
-    for name, ok, detail in star_report:
-        assert ok, (name, detail)
-    for pp in (HERMITE, LG, JG):
-        for name, ok, detail in power_formulas_check(pp, 10):
-            assert ok, (pp.family, name, detail)
-    # normal ordering d^j o eta^i up to i = j = 4
-    for i in range(5):
-        for j in range(5):
-            lhs = op_derivative(j).compose(DiffOp([ETA ** i])) \
-                if j else DiffOp([ETA ** i])
-            expect = DiffOp([])
-            for r in range(min(i, j) + 1):
-                a = math.factorial(r) * math.comb(i, r) * math.comb(j, r)
-                expect = op_add(expect, DiffOp([Poly.zero()] * (j - r)
-                                               + [ETA ** (i - r) * a]))
-            assert lhs == expect, (i, j)
-    # the matrix translation reverses products: d o eta lands on
-    # mat(eta) mat(d) + 1, visibly distinct from the same-order product
-    d_op, eta_op = op_derivative(), DiffOp([ETA])
-    ident = OpMatrix(lambda n: {n: F(1)})
-    for pp in (HERMITE, LG, JG):
-        flat = flat_map(d_op.compose(eta_op), pp)
-        dmat, gmat = delta_matrix(pp), gamma_matrix(pp)
-        same_order = dmat * gmat
-        for n in range(9):
-            assert flat.column(n) == (same_order + ident).column(n), \
-                (pp.family, n)
-            assert flat.column(n) != same_order.column(n), (pp.family, n)
-            assert flat.column(n) == (gmat * dmat).column(n), (pp.family, n)
-    _report(9, "star/power/ordering/translation identities", t0)
+    # seven star rows, then two commutator and six power rows per point
+    _all_pass(verify.shiftalg([HERMITE, LG, JG], 10, 13, 12), 31)
+    _report(9, "star/commutator/power identities", t0)
 
 
 # -- 10: the verify CLI is deterministic and clean ---------------------------

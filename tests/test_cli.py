@@ -30,7 +30,7 @@ from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
 from mipoly.recurrence import recurrence_direct, theta_op
 
-from oracles import GaugedFn
+from oracles import GaugedFn, clear_library_caches
 
 
 def run_json(capsys, argv):
@@ -365,7 +365,7 @@ def _counted(monkeypatch, module, name):
 def test_recurrence_builds_x_once(capsys, monkeypatch):
     # the document, Theta and every row of the direct route share one X
     import mipoly.recurrence as recurrence
-    _clear_library_caches()
+    clear_library_caches()
     builds = _counted(monkeypatch, recurrence, "integrate_from_zero")
     code, _ = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
                                 "--indices", "1I,2II", "--y", "0,1",
@@ -376,7 +376,7 @@ def test_recurrence_builds_x_once(capsys, monkeypatch):
 
 def test_construct_takes_each_virtual_energy_once(capsys, monkeypatch):
     # pi_D(n) at every n reads the seeds' energies, computed once per set
-    _clear_library_caches()
+    clear_library_caches()
     energies = _counted(monkeypatch, mindexed, "virtual_energy")
     code, _ = run_json(capsys, ["construct", "--family", "J", "--g", "7/3",
                                 "--h", "9/4", "--indices", "1I,3I,2II",
@@ -534,7 +534,7 @@ def test_verify_shiftalg_rows_name_their_point(capsys):
 
 def test_verify_names_power_witness(capsys, monkeypatch):
     # one wrong closed-form entry, for L at n = 5, fails exactly its row
-    real = shiftalg.gamma_power_column
+    real = verify.gamma_power_column
 
     def perturbed(pp, j, n):
         col = dict(real(pp, j, n))
@@ -542,7 +542,7 @@ def test_verify_names_power_witness(capsys, monkeypatch):
             col[3] = col.get(3, 0) + 1
         return col
 
-    monkeypatch.setattr(shiftalg, "gamma_power_column", perturbed)
+    monkeypatch.setattr(verify, "gamma_power_column", perturbed)
     code, doc = run_json(capsys, ["verify", "--suite", "shiftalg",
                                   "--samples", "1"])
     assert code == 1
@@ -628,6 +628,34 @@ def test_verify_routes_name_a_theta_that_is_not_polynomial(monkeypatch):
         "NotPolynomial: coefficient of d^0 has denominator Poly(1*eta)")
 
 
+@pytest.mark.parametrize("suite", ["mindexed", "diffop", "recurrence"])
+def test_verify_fails_a_degenerate_case_in_its_own_rows(suite):
+    # P_(D,2) of 1I,2II vanishes at L g=1/2: that case fails each of its
+    # rows with the cause, and the generic case after it still passes
+    degenerate = (ParamPoint("L", g=F(1, 2)), IndexSet.parse("L", "1I,2II"))
+    args = ([Poly.one()], 3) if suite == "recurrence" else (3,)
+    rows = getattr(verify, suite)([degenerate, (LG, L1)], *args)
+    failed, passed = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    for row in failed:
+        assert not row.ok and "[L,1I,2II,g=1/2" in row.name
+        assert row.detail.endswith(
+            "; DegenerateLeading: P_(D,2) is identically zero (expected "
+            "degree 6) for 1I,2II")
+    assert passed and all(row.ok and "[L,1I,g=7/3" in row.name
+                          for row in passed)
+
+
+def test_verify_crashes_a_suite_on_any_other_exception(monkeypatch):
+    def broken(pp, D):
+        raise ZeroDivisionError("a bug, not a degenerate case")
+
+    monkeypatch.setattr(verify, "xi_poly", broken)
+    summary, rows = verify.run("mindexed", 1, 2, 0)
+    assert summary == {"mindexed": {"pass": 0, "fail": 1}}
+    assert rows == [("mindexed/crashed", False,
+                     "ZeroDivisionError: a bug, not a degenerate case")]
+
+
 def test_suite_choices_are_the_registry():
     # the command line names the suites without loading the registry
     usage = cli._USAGE.split("--suite ")[1].split(" (default)")[0]
@@ -664,14 +692,6 @@ def test_construct_does_not_read_fhat(capsys, monkeypatch):
         _clear_member_caches()
 
 
-def _clear_library_caches():
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("mipoly"):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
-
 @pytest.mark.parametrize("argv", [
     ["construct", "--family", "J", "--g", "7/3", "--h", "9/4",
      "--indices", "1I,3I,2II", "--nmax", "3"],
@@ -685,7 +705,7 @@ def test_constructions_take_no_gauged_products(capsys, argv):
     # column is an (exponents, polynomial) pair, so no program path needs
     # a GaugedFn; its calculus lives with the tests' oracles, and no
     # module a command loads defines it or binds it under any name
-    _clear_library_caches()
+    clear_library_caches()
     assert main(argv) == 0
     capsys.readouterr()
     holders = [name for name, module in list(sys.modules.items())
@@ -753,7 +773,7 @@ def test_benchmark_digests_still_match(capsys):
     checked = 0
     for workload in ("recurrence-cli", "construct-cli"):
         for argv in workloads.cli_universe(workload):
-            _clear_library_caches()
+            clear_library_caches()
             assert main(argv) == 0, argv
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == \
@@ -1021,7 +1041,7 @@ def _sha(text):
 
 def _assert_pinned(capsys, tmp_path, argv, status, json_sha, text_sha,
                    latex_sha):
-    _clear_library_caches()
+    clear_library_caches()
     for fmt, want in (("json", json_sha), ("text", text_sha),
                       ("latex", latex_sha)):
         assert main([*argv, "--format", fmt]) == status

@@ -89,8 +89,8 @@ def test_derivative_times_eta_commutator():
 def test_normal_ordering_closed_form():
     # d^j o eta^i = sum_r r! C(i,r) C(j,r) eta^(i-r) d^(j-r)
     import math
-    for i in range(4):
-        for j in range(4):
+    for i in range(5):
+        for j in range(5):
             lhs = op_derivative(j).compose(DiffOp([ETA ** i])) \
                 if j else DiffOp([ETA ** i])
             expect = DiffOp([])

@@ -31,9 +31,9 @@ from mipoly.gauged import (
     numerator_ladder,
     poly_wronskian,
     wronskian,
-    wronskian_identities_check,
     wronskian_rows,
 )
+from mipoly.verify import wronskian_identities_check
 
 from oracles import GaugedFn, GaugeMismatch
 

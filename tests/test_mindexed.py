@@ -2,16 +2,17 @@
 
 Pinned low-order cases are written out by hand (degree-1 denominators,
 the two quartic two-seed denominators and their factored special cases),
-and the closed-form leading coefficients / degree formulas / parameter-
-shift identities are checked against the constructed polynomials over a
-battery of index sets.
+and P_(D,n) is checked against the whole Wronskian.  The closed-form
+degrees, leading coefficients and lowest member are rows of ``verify``'s
+``mindexed`` suite, which the acceptance battery runs over every index
+set of at most three seeds.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from mipoly.exact import ParamPoint, Poly, RatFunc, pochhammer
+from mipoly.exact import ParamPoint, Poly, RatFunc
 from mipoly.families import (
     GenericityViolation,
     classical_poly,
@@ -26,16 +27,15 @@ from mipoly.mindexed import (
     check_genericity,
     mi_poly,
     mj_function,
-    p_leading,
     pi_factor,
     plusdelta_constant,
     seed_functions,
-    xi_leading,
     xi_poly,
     _xi_exponents,
 )
 
-from oracles import GaugedFn
+from oracles import (LAGUERRE_QUARTIC_FACTORIZATIONS, GaugedFn,
+                     jacobi_two_seed_quartic, laguerre_two_seed_quartic)
 
 F = Fraction
 
@@ -121,73 +121,25 @@ def test_single_seed_jacobi_is_twisted_classical():
             classical_poly(twisted(JG, "II"), v)
 
 
-def _laguerre_two_seed_quartic(g):
-    return Poly([
-        pochhammer(g - F(5, 2), 4),
-        2 * pochhammer(g - F(5, 2), 2) * (2 * g + 1),
-        (g - F(5, 2)) * (6 * g - 1),
-        2 * (2 * g - 3),
-        1,
-    ])
-
-
 @pytest.mark.parametrize("g", [F(7, 3), F(1, 4), F(3)])
 def test_laguerre_two_seed_quartic(g):
     pp = ParamPoint("L", g=g)
     xi = xi_poly(pp, IndexSet("L", (1,), (2,)))
-    assert -2 * xi == _laguerre_two_seed_quartic(g)
+    assert -2 * xi == laguerre_two_seed_quartic(g)
 
 
-@pytest.mark.parametrize("g,factored", [
-    (F(-1, 2), Poly([0, 0, 1]) * Poly([-2, 1]) * Poly([-6, 1])),
-    (F(3, 2), Poly([0, 0, 1]) * Poly([-8, 0, 1])),
-    (F(5, 2), Poly([0, 0, 0, 1]) * Poly([4, 1])),
-    (F(-13, 2), Poly([-6, 1]) ** 3 * Poly([-14, 1])),
-])
+@pytest.mark.parametrize("g,factored", LAGUERRE_QUARTIC_FACTORIZATIONS)
 def test_laguerre_quartic_degenerate_factorizations(g, factored):
     pp = ParamPoint("L", g=g)
     xi = xi_poly(pp, IndexSet("L", (1,), (2,)))
     assert -2 * xi == factored
-    assert -2 * xi == _laguerre_two_seed_quartic(g)
+    assert -2 * xi == laguerre_two_seed_quartic(g)
 
 
 @pytest.mark.parametrize("g,h", [(F(7, 3), F(9, 4)), (F(5, 2), F(2, 3))])
 def test_jacobi_two_seed_quartic(g, h):
-    a, b = g + h, g - h
-    pp = ParamPoint("J", g=g, h=h)
-    xi = xi_poly(pp, IndexSet("J", (1,), (2,)))
-    expect = Poly([
-        a ** 3 * (a - 4) + 2 * a * a * (b - 3) - 4 * a * (b - 5)
-        - (b - 3) * (b - 1),
-        4 * (a - 1) * (b - 1) * (a * (a - 2) + b - 3),
-        2 * (b - 1) * (a * (a - 2) * (3 * b - 4) + (b + 4) * (b - 3)),
-        4 * (a - 1) * (b - 3) * (b - 1) * b,
-        (b - 4) * (b - 3) * (b - 1) * (b + 2),
-    ])
-    assert 64 * xi == expect
-
-
-@pytest.mark.parametrize("pp,sets", [(LG, L_SETS), (JG, J_SETS)],
-                         ids=["L", "J"])
-def test_degrees_and_leading_coefficients(pp, sets):
-    for D in sets:
-        xi = xi_poly(pp, D)
-        assert xi.degree == D.ell, D.label()
-        assert xi.lc() == xi_leading(pp, D), D.label()
-        for n in range(4):
-            p = mi_poly(pp, D, n)
-            assert p.degree == D.ell + n, (D.label(), n)
-            assert p.lc() == p_leading(pp, D, n), (D.label(), n)
-
-
-@pytest.mark.parametrize("pp,sets", [(LG, L_SETS), (JG, J_SETS)],
-                         ids=["L", "J"])
-def test_lowest_state_is_shifted_denominator(pp, sets):
-    # P_{D,0} at lambda equals a constant times Xi_D at lambda + delta
-    for D in sets:
-        lhs = mi_poly(pp, D, 0)
-        rhs = plusdelta_constant(pp, D) * xi_poly(delta_shift(pp), D)
-        assert lhs == rhs, D.label()
+    xi = xi_poly(ParamPoint("J", g=g, h=h), IndexSet("J", (1,), (2,)))
+    assert 64 * xi == jacobi_two_seed_quartic(g, h)
 
 
 def test_plusdelta_constants_pinned():

@@ -11,6 +11,7 @@ a run does enter is stale and fails the test too, so the list stays
 short.
 """
 
+import ast
 import gc
 import sys
 from pathlib import Path
@@ -20,10 +21,16 @@ import pytest
 import mipoly
 from mipoly import cli
 
-# what may hold a function that no command enters
-ITEM_1 = "ROADMAP item 1: RatFunc arithmetic of the explicit r_(n,k)"
-ITEM_3 = "ROADMAP item 3: Xi_D at the boundary, and the span test"
-ITEM_4 = "ROADMAP item 4: benchmark names, deleted with their metrics"
+from oracles import clear_library_caches
+
+# what may hold a function that no command enters; a ROADMAP item is
+# named by its title, which a renumbering leaves as it is
+EXPLICIT_COEFFICIENTS = "ROADMAP 'Explicit coefficients': RatFunc " \
+    "arithmetic of the explicit r_(n,k)"
+BOUNDARY_ZERO = "ROADMAP 'Name the boundary zero of Xi': Xi_D at the " \
+    "boundary, and the span test"
+BENCHMARK_REPAIR = "ROADMAP 'A compute workload ... and the benchmark " \
+    "repair': benchmark names, deleted with their metrics"
 DUNDER = "data-model dunder: repr, pickle, eq or hash"
 GUARD = "guard: trips only where check_genericity or immutability " \
         "stops every command first"
@@ -31,22 +38,22 @@ GUARD = "guard: trips only where check_genericity or immutability " \
 NOT_ENTERED = {
     "diffop.DiffOp.__eq__": DUNDER,
     "diffop.DiffOp.__repr__": DUNDER,
-    "exact.Poly.__call__": ITEM_3,
-    "exact.poly_lcm": ITEM_4,
-    "exact.RatFunc.of": ITEM_1,
-    "exact.RatFunc._reduced": ITEM_1,
-    "exact.RatFunc.is_zero": ITEM_1,
-    "exact.RatFunc.__add__": ITEM_1,
-    "exact.RatFunc.__neg__": ITEM_1,
-    "exact.RatFunc.__sub__": ITEM_1,
-    "exact.RatFunc.__rsub__": ITEM_1,
-    "exact.RatFunc.__mul__": ITEM_1,
-    "exact.RatFunc.__truediv__": ITEM_1,
-    "exact.RatFunc.__rtruediv__": ITEM_1,
-    "exact.RatFunc.deriv": ITEM_1,
+    "exact.Poly.__call__": BOUNDARY_ZERO,
+    "exact.poly_lcm": BENCHMARK_REPAIR,
+    "exact.RatFunc.of": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc._reduced": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.is_zero": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__add__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__neg__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__sub__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__rsub__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__mul__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__truediv__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.__rtruediv__": EXPLICIT_COEFFICIENTS,
+    "exact.RatFunc.deriv": EXPLICIT_COEFFICIENTS,
     "exact.RatFunc.__hash__": DUNDER,
     "exact.RatFunc.__repr__": DUNDER,
-    "exact._cross_reduce": ITEM_1,
+    "exact._cross_reduce": EXPLICIT_COEFFICIENTS,
     "exact.FrozenRecord.__setattr__": GUARD,
     "exact.FrozenRecord.__delattr__": GUARD,
     "exact.FrozenRecord.__reduce__": DUNDER,
@@ -55,13 +62,13 @@ NOT_ENTERED = {
     "families.jacobi_ank": GUARD,
     # the message of a gauge that does not reduce away
     "gauged.gauge_str": GUARD,
-    "gauged.det_ratfunc": ITEM_4,
+    "gauged.det_ratfunc": BENCHMARK_REPAIR,
     # the message of a degree that the leading-coefficient formula missed
     "mindexed._degree_mismatch": GUARD,
-    "recurrence.in_deformed_span": ITEM_3,
-    "shiftalg.column_action": ITEM_4,
-    "shiftalg.OpMatrix.__add__": ITEM_4,
-    "shiftalg.flat_map": ITEM_4,
+    "recurrence.in_deformed_span": BOUNDARY_ZERO,
+    "shiftalg.column_action": BENCHMARK_REPAIR,
+    "shiftalg.OpMatrix.__add__": BENCHMARK_REPAIR,
+    "shiftalg.flat_map": BENCHMARK_REPAIR,
 }
 
 L = ["--family", "L", "--g", "7/3"]
@@ -132,14 +139,6 @@ def _defined():
     return out
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mipoly") and module is not None:
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
-
 def test_every_function_in_src_is_entered_or_held(capsys, monkeypatch,
                                                   tmp_path):
     entered = set()
@@ -150,7 +149,7 @@ def test_every_function_in_src_is_entered_or_held(capsys, monkeypatch,
 
     runs, codes = _command_lines(str(tmp_path / "out.tex")), []
     for argv, _ in runs:
-        _clear_caches()
+        clear_library_caches()
         sys.setprofile(profile)
         try:
             codes.append(cli.main(argv))
@@ -178,7 +177,27 @@ def test_every_function_in_src_is_entered_or_held(capsys, monkeypatch,
     stale = sorted(set(NOT_ENTERED) & reached) + \
         sorted(set(NOT_ENTERED) - names)
     assert not stale, f"NOT_ENTERED names a def a run enters, or none: {stale}"
-    assert set(NOT_ENTERED.values()) <= {ITEM_1, ITEM_3, ITEM_4, DUNDER,
-                                         GUARD}
+    assert set(NOT_ENTERED.values()) <= {
+        EXPLICIT_COEFFICIENTS, BOUNDARY_ZERO, BENCHMARK_REPAIR, DUNDER, GUARD}
     assert codes == [code for _, code in runs]
     assert stop.value.code == 0
+
+
+# the library layers; the named checks built on them live in verify
+LAYERS = ["exact", "families", "gauged", "mindexed", "diffop", "recurrence",
+          "shiftalg"]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_no_library_layer_imports_the_checks(layer):
+    path = Path(mipoly.__file__).resolve().parent / f"{layer}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}"
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {"checks", ".checks", "mipoly.checks"} & imported, \
+        f"{layer} imports the check rows"
