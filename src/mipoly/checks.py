@@ -3,9 +3,10 @@ expected, actual) case and names the failure count and first witness:
 rationals as "p/q", polynomials by ``repr``, the zero polynomial's
 degree as "none".  A row with no cases fails: it would check nothing.
 
-``route_agreement``, the row in which routes to the r_(n,k) agree, is
-shared by ``recurrence`` and ``verify``; it and ``y_routes`` import the
-operator layers only when called, so ``construct`` never loads them.
+``routes`` names the direct, operator and matrix routes of one X, and
+``route_agreement`` is the row in which routes agree; ``recurrence``
+and ``verify`` share both, and both import the operator layers only
+when called, so ``construct`` never loads them.
 """
 
 import functools
@@ -48,13 +49,13 @@ def agree(name: str, detail: str, cases: Iterable[tuple]) -> Check:
                  f"at {where}: expected {show(expected)}, got {show(actual)}")
 
 
-def y_routes(pp, D, Y) -> List[tuple]:
-    """(name, row of n) for the direct, operator and matrix routes."""
+def routes(pp, D, X) -> List[tuple]:
+    """(name, row of n) for the direct, operator and matrix routes of X."""
     from .recurrence import recurrence_direct, recurrence_via_theta
     from .shiftalg import recurrence_bispectral
-    return [("direct", functools.partial(recurrence_direct, pp, D, Y)),
-            ("operator", functools.partial(recurrence_via_theta, pp, D, Y)),
-            ("matrix", functools.partial(recurrence_bispectral, pp, D, Y))]
+    return [("direct", functools.partial(recurrence_direct, pp, D, X)),
+            ("operator", functools.partial(recurrence_via_theta, pp, D, X)),
+            ("matrix", functools.partial(recurrence_bispectral, pp, D, X))]
 
 
 def route_agreement(name: str, detail: str, routes: List[tuple], nmax: int,

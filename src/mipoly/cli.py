@@ -2,14 +2,16 @@
 
 Three subcommands.  ``construct`` builds the denominator polynomial and
 the first members of a deformed family at an exact rational parameter
-point, with genericity diagnostics.  ``recurrence`` checks genericity
+point, with genericity diagnostics.  ``recurrence`` builds X once, from
+``--y`` or as the parsed ``--raw-X``, sets L = deg X, checks genericity
 through n = nmax + L, derives the 1 + 2L-term constant-coefficient
-relation by the three independent routes (direct expansion, conjugated
-operator, matrix realization) in one loop, cross-checks them, and
-compares against the shipped closed-form tables when the configuration
-matches one of the built-in cases.  ``verify`` runs the seeded suites
-of the check registry, ``mipoly.verify``, which the acceptance tests
-run too; this module only binds them to the flags.
+relation by the routes of ``checks.routes`` (direct expansion,
+conjugated operator, matrix realization; a raw X takes the first two)
+in one loop, cross-checks them, and compares against the shipped
+closed-form tables when the configuration matches one of the built-in
+cases.  ``verify`` runs the seeded suites of the check registry,
+``mipoly.verify``, which the acceptance tests run too; this module only
+binds them to the flags.
 
 Every document is ``{config, results, checks, version}``; rationals are
 rendered "p/q" (plain "p" for integers), polynomials as ascending
@@ -50,7 +52,6 @@ imports made.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import json
@@ -61,7 +62,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
-from .checks import Check, Report, agree, route_agreement, y_routes
+from .checks import Check, Report, agree, route_agreement, routes
 from .exact import ParamPoint, Poly, rat_str
 from .families import GenericityViolation
 from .gauged import NotPolynomial
@@ -196,42 +197,36 @@ def _matching_golden(pp: ParamPoint, D: IndexSet, Y: Poly) -> Optional[dict]:
 
 def cmd_recurrence(args) -> Tuple[dict, int]:
     # the operator layers load here, so that construct never pays for them
-    from .recurrence import (recurrence_from_theta, recurrence_from_x,
-                             recurrence_order, theta_from_x, x_from_y)
+    from .recurrence import theta_op, x_from_y
     pp, D = _parse_point_and_set(args)
+    raw = args.raw_x is not None
     checks: Report = []
     results: dict = {"indices": D.label()}
     try:
-        if args.raw_x is not None:
-            X = _parse_poly(args.raw_x, "--raw-X")
+        if raw:
+            X = results["x"] = _parse_poly(args.raw_x, "--raw-X")
             if X.degree < 1:
                 # X' = 0 is Y = 0, which --y refuses too
                 raise ConfigError("--raw-X: a constant X is not usable here")
-            results["x"] = X
             try:
-                theta = theta_from_x(pp, D, X)
+                theta_op(pp, D, X)
             except NotPolynomial as exc:
                 checks.append(Check("x_admissible", False,
                                     f"NotPolynomial: {exc}"))
                 return _document(args, results, checks)
             checks.append(Check("x_admissible", True,
                                 "conjugated operator is polynomial"))
-            L, detail = X.degree, "direct and operator routes"
-            routes = [
-                ("direct", functools.partial(recurrence_from_x, pp, D, X)),
-                ("operator", functools.partial(recurrence_from_theta,
-                                               pp, D, theta))]
         else:
             Y = _parse_poly(args.y, "--y")
-            results["x"] = x_from_y(pp, D, Y)
-            L = recurrence_order(D, Y)
-            detail = "direct, operator and matrix routes"
-            routes = y_routes(pp, D, Y)
-        results["order"] = L
+            X = results["x"] = x_from_y(pp, D, Y)
+        L = results["order"] = X.degree
         check_genericity(pp, D, args.nmax + L)
+        # a raw X goes to the direct and operator routes only
+        named = routes(pp, D, X)[:2 if raw else 3]
+        *names, last = [name for name, _ in named]
         rows, agreement = route_agreement(
-            "route_agreement", f"{detail} for n <= {args.nmax}", routes,
-            args.nmax)
+            "route_agreement", f"{', '.join(names)} and {last} routes for "
+            f"n <= {args.nmax}", named, args.nmax)
     except (GenericityViolation, DegenerateLeading) as exc:
         checks.append(Check("genericity", False, str(exc)))
         return _document(args, results, checks)
@@ -240,7 +235,7 @@ def cmd_recurrence(args) -> Tuple[dict, int]:
         for n, row in enumerate(rows)]
     checks.append(agreement)
 
-    gold = None if args.raw_x is not None else _matching_golden(pp, D, Y)
+    gold = None if raw else _matching_golden(pp, D, Y)
     if gold is not None:
         upto = min(args.nmax, max(r["n"] for r in gold["rows"]))
         golden = agree("golden", f"closed-form table rows n <= {upto}",

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .exact import ETA, ParamPoint, Poly, pochhammer, rat
+from .exact import ETA, ParamPoint, Poly, pochhammer
 
 
 class GenericityViolation(ValueError):

@@ -8,13 +8,15 @@ Multiplication by X then closes on the multi-indexed family:
 
     X P_{D,n} = sum_{k=-L}^{L} r_{n,k} P_{D,n+k}
 
-with coefficients r_{n,k} that do not depend on eta.  Two of the three
-independent routes to the r_{n,k} live here:
+with coefficients r_{n,k} that do not depend on eta.  Every route
+reads X only, whether it was built from Y (``x_from_y``) or given as
+it is (``--raw-X``).  Two of the three independent routes to the
+r_{n,k} live here:
 
 * the *direct* route expands X P_{D,n} in the basis {P_{D,m}} by leading
-  coefficient elimination (``recurrence_from_x``, ``recurrence_direct``
-  for the X of Y).  A nonzero residue after eliminating down to degree
-  ell signals that the input was not in the span: :class:`NonzeroRemainder`;
+  coefficient elimination (``recurrence_direct``).  A nonzero residue
+  after eliminating down to degree ell signals that the input was not in
+  the span: :class:`NonzeroRemainder`;
 
 * the *operator* route conjugates back to the classical family:
   Theta = Bhat o X o Fhat has polynomial coefficients exactly when X is
@@ -25,9 +27,9 @@ independent routes to the r_{n,k} live here:
 
 The third route (the index-shift action of Theta) is in
 :mod:`mipoly.shiftalg` and consumes the Theta built here; ``theta_op``
-is cached, so both routes share one Theta per (point, index set, Y).
-``x_from_y`` is cached too: X is the input every route starts from,
-built once per (point, index set, Y) rather than once per row.
+is cached, so both routes share one Theta per (point, index set, X).
+Each divides its own column of Theta's action by pi_D through
+``divide_by_pi``, which shares the division step but no result.
 
 Membership of a polynomial in span{P_{D,n}} has a test without any
 expansion: q in the span makes Htilde q a polynomial, that is
@@ -58,13 +60,8 @@ class NonzeroRemainder(ValueError):
     """An expansion in the deformed basis left a nonzero residue."""
 
 
-@functools.lru_cache(maxsize=None)
 def x_from_y(pp: ParamPoint, D: IndexSet, Y: Poly) -> Poly:
-    """X = integral from 0 of Xi_D * Y; the recurrence has order deg X.
-
-    Cached: one X serves the document, Theta and every row of the
-    direct route.
-    """
+    """X = integral from 0 of Xi_D * Y; the recurrence has order deg X."""
     if Y.is_zero():
         raise ValueError("the seed polynomial Y must be nonzero")
     return integrate_from_zero(xi_poly(pp, D) * Y)
@@ -91,9 +88,14 @@ def in_deformed_span(pp: ParamPoint, D: IndexSet, q: Poly) -> bool:
     return htilde_op(pp, D).apply(q).is_polynomial()
 
 
-def theta_from_x(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
+@functools.lru_cache(maxsize=None)
+def theta_op(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
     """Theta = Bhat o X o Fhat, demanding a constant lowest-terms
-    denominator; only a failure reads the coefficients, to name one."""
+    denominator; only a failure reads the coefficients, to name one.
+
+    Cached: one Theta serves the operator route, the matrix route and
+    every row n.
+    """
     op = backward_op(pp, D).compose(forward_op(pp, D).left_mul(X))
     if op.is_polynomial():
         return op
@@ -101,16 +103,6 @@ def theta_from_x(pp: ParamPoint, D: IndexSet, X: Poly) -> DiffOp:
                 if not c.is_polynomial())
     raise NotPolynomial(f"coefficient of d^{i} has denominator {c.den!r}; "
                         f"X is not admissible for {D.label()}")
-
-
-@functools.lru_cache(maxsize=None)
-def theta_op(pp: ParamPoint, D: IndexSet, Y: Poly) -> DiffOp:
-    """Theta for the admissible X built from the seed polynomial Y.
-
-    Cached: one Theta serves the operator route, the matrix route and
-    every row n.
-    """
-    return theta_from_x(pp, D, x_from_y(pp, D, Y))
 
 
 def expand_in_deformed(pp: ParamPoint, D: IndexSet, q: Poly) -> Dict[int, Fraction]:
@@ -131,20 +123,33 @@ def expand_in_deformed(pp: ParamPoint, D: IndexSet, q: Poly) -> Dict[int, Fracti
     return out
 
 
-def recurrence_from_x(pp: ParamPoint, D: IndexSet, X: Poly,
+def recurrence_direct(pp: ParamPoint, D: IndexSet, X: Poly,
                       n: int) -> Dict[int, Fraction]:
     """r_{n,k} by expanding X P_{D,n} in the deformed basis."""
     expansion = expand_in_deformed(pp, D, X * mi_poly(pp, D, n))
     return {m - n: c for m, c in expansion.items()}
 
 
-def recurrence_direct(pp: ParamPoint, D: IndexSet, Y: Poly,
-                      n: int) -> Dict[int, Fraction]:
-    """The direct route for the X built from the seed polynomial Y."""
-    return recurrence_from_x(pp, D, x_from_y(pp, D, Y), n)
+def divide_by_pi(pp: ParamPoint, D: IndexSet, n: int,
+                 column: Dict[int, Fraction],
+                 route: str) -> Dict[int, Fraction]:
+    """r_{n,m-n} = column[m] / pi_D(m) for Theta P_n = sum_m column[m] P_m.
+
+    The operator and matrix routes each divide their own column; a
+    pi_D(m) = 0 raises GenericityViolation naming the route.
+    """
+    out: Dict[int, Fraction] = {}
+    for m, c in column.items():
+        pi = pi_factor(pp, D, m)
+        if pi == 0:
+            raise GenericityViolation(
+                f"pi_D({m}) = 0; cannot divide the {route} route "
+                f"for {D.label()}")
+        out[m - n] = c / pi
+    return out
 
 
-def recurrence_via_theta(pp: ParamPoint, D: IndexSet, Y: Poly,
+def recurrence_via_theta(pp: ParamPoint, D: IndexSet, X: Poly,
                          n: int) -> Dict[int, Fraction]:
     """r_{n,k} = r0_{n,k} / pi_D(n+k) from the conjugated operator.
 
@@ -153,22 +158,5 @@ def recurrence_via_theta(pp: ParamPoint, D: IndexSet, Y: Poly,
     the term is dropped and the pi == 0 guard never fires: at L g=-13/2,
     D = 1I,2II, n = 0 this route omits the direct route's r_{0,5} = 27.
     """
-    theta = theta_op(pp, D, Y)
-    return recurrence_from_theta(pp, D, theta, n)
-
-
-def recurrence_from_theta(pp: ParamPoint, D: IndexSet, theta: DiffOp,
-                          n: int) -> Dict[int, Fraction]:
-    """Decode r_{n,k} from an already-built Theta."""
-    image = theta.apply(classical_poly(pp, n)).as_poly()
-    r0 = expand_in_classical(pp, image)
-    out: Dict[int, Fraction] = {}
-    for m, c in r0.items():
-        pi = pi_factor(pp, D, m)
-        if pi == 0:
-            raise GenericityViolation(
-                f"pi_D({m}) = 0; cannot divide the operator route "
-                f"for {D.label()}")
-        if c != 0:
-            out[m - n] = c / pi
-    return out
+    image = theta_op(pp, D, X).apply(classical_poly(pp, n)).as_poly()
+    return divide_by_pi(pp, D, n, expand_in_classical(pp, image), "operator")

@@ -69,15 +69,14 @@ from .exact import (
     poly_divmod,
 )
 from .families import (
-    GenericityViolation,
     cnk,
     energy,
     recurrence_abc,
     schrodinger_c1,
     schrodinger_c2,
 )
-from .mindexed import IndexSet, pi_factor
-from .recurrence import theta_op
+from .mindexed import IndexSet
+from .recurrence import divide_by_pi, theta_op
 
 
 # -- normal-ordered shifts on polynomials in the index -----------------------
@@ -253,8 +252,8 @@ class OpMatrix:
 
     ``column(n)`` is the whole expansion of Op P_n over {P_m}, with zero
     entries dropped.  S * T is "T first", as for matrices: its column n
-    is S applied to column n of T.  Sums and products are lazy, so a
-    column is computed when it is read.
+    is S applied to column n of T.  Differences and products are lazy,
+    so a column is computed when it is read.
     """
 
     __slots__ = ("column",)
@@ -268,10 +267,6 @@ class OpMatrix:
 
     def __mul__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix(lambda n: self.apply(other.column(n)))
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix(lambda n: _combine(
-            ((1, self.column(n)), (1, other.column(n)))))
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix(lambda n: _combine(
@@ -381,7 +376,7 @@ def banded_column(theta: DiffOp, pp: ParamPoint, n: int) -> Column:
     return _combine(terms)
 
 
-def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,
+def recurrence_bispectral(pp: ParamPoint, D: IndexSet, X: Poly,
                           n: int) -> Dict[int, Fraction]:
     """r_{n,k} read off the banded index-shift action of Theta.
 
@@ -395,12 +390,5 @@ def recurrence_bispectral(pp: ParamPoint, D: IndexSet, Y: Poly,
     pi_D(m) r_{n,m-n} = 0, so its term is dropped and the pi == 0 guard
     never fires (L g=-13/2, D = 1I,2II, n = 0 omits r_{0,5} = 27).
     """
-    out: Dict[int, Fraction] = {}
-    for m, v in banded_column(theta_op(pp, D, Y), pp, n).items():
-        pi = pi_factor(pp, D, m)
-        if pi == 0:
-            raise GenericityViolation(
-                f"pi_D({m}) = 0; cannot divide the matrix route "
-                f"for {D.label()}")
-        out[m - n] = v / pi
-    return out
+    return divide_by_pi(pp, D, n, banded_column(theta_op(pp, D, X), pp, n),
+                        "matrix")

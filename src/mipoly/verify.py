@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .checks import Check, Report, agree, route_agreement, y_routes
+from .checks import Check, Report, agree, route_agreement, routes
 from .diffop import (DenominatorEscape, backward_apply_via_wronskian,
                      backward_op, backward_step_eigen, forward_op,
                      forward_step_eigen, htilde_op, single_step_backward,
@@ -34,7 +34,7 @@ from .families import (GenericityViolation, classical_poly, cnk, delta_shift,
 from .gauged import NotPolynomial, poly_wronskian
 from .mindexed import (DegenerateLeading, IndexSet, mi_poly, p_leading,
                        pi_factor, plusdelta_constant, xi_leading, xi_poly)
-from .recurrence import recurrence_order
+from .recurrence import recurrence_order, x_from_y
 from .shiftalg import (NormalOrderedShift, bnk_value, collapsing_shift,
                        delta_matrix, delta_power_column, gamma_matrix,
                        gamma_power_column)
@@ -272,7 +272,8 @@ def recurrence(cases: Sequence[Case], ys: Sequence[Poly], nmax: int) -> Report:
             detail = (f"three routes agree, in the band |k| <= {L}, "
                       f"for n <= {nmax}")
             report.append(_row(name, detail, lambda: route_agreement(
-                name, detail, y_routes(pp, D, Y), nmax, band=L)[1]))
+                name, detail, routes(pp, D, x_from_y(pp, D, Y)), nmax,
+                band=L)[1]))
     return report
 
 

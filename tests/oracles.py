@@ -26,6 +26,8 @@ Operators.  ``op_add``, ``op_neg`` and ``op_sub`` are the sum,
 negation and difference of ``diffop.DiffOp``s over the product of their
 denominators, and ``op_derivative`` is d^order, for the operator
 identities of ``test_diffop``, ``test_shiftalg`` and ``test_acceptance``.
+``matrix_add`` is the sum of two ``shiftalg.OpMatrix`` column maps, for
+the product references of ``test_shiftalg``.
 
 Closed forms.  ``laguerre_single_seed_row`` and ``jacobi_single_seed_row``
 are the r_(n,k) of the single seed 1I with Y = 1, written out by hand,
@@ -50,6 +52,7 @@ from mipoly.exact import ParamPoint, Poly, RatFunc, pochhammer, rat
 from mipoly.gauged import _LINEAR, _fold, _gaugeless, _poly_nums, gauge_str
 from mipoly.mindexed import IndexSet, mi_poly
 from mipoly.recurrence import NonzeroRemainder
+from mipoly.shiftalg import OpMatrix
 
 
 # -- gauged functions --------------------------------------------------------
@@ -217,6 +220,16 @@ def op_add(S: DiffOp, T: DiffOp) -> DiffOp:
 def op_derivative(order: int = 1) -> DiffOp:
     """d^order/deta^order."""
     return DiffOp([0] * order + [1])
+
+
+def matrix_add(S: OpMatrix, T: OpMatrix) -> OpMatrix:
+    """S + T, column by column, zero entries dropped."""
+    def column(n: int) -> Dict[int, Fraction]:
+        out = dict(S.column(n))
+        for m, v in T.column(n).items():
+            out[m] = out.get(m, 0) + v
+        return {m: v for m, v in sorted(out.items()) if v}
+    return OpMatrix(column)
 
 
 def op_neg(S: DiffOp) -> DiffOp:

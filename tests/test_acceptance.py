@@ -22,18 +22,13 @@ from fractions import Fraction
 
 import pytest
 
-from mipoly import verify
+from mipoly import checks, verify
 from mipoly.cli import main as cli_main
 from mipoly.exact import ETA, ParamPoint, Poly, integrate_from_zero
 from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import IndexSet, xi_poly
-from mipoly.recurrence import (
-    recurrence_direct,
-    recurrence_via_theta,
-    theta_from_x,
-    theta_op,
-)
-from mipoly.shiftalg import flat_map, recurrence_bispectral
+from mipoly.recurrence import theta_op, x_from_y
+from mipoly.shiftalg import flat_map
 
 from oracles import (LAGUERRE_QUARTIC_FACTORIZATIONS, jacobi_single_seed_row,
                      jacobi_two_seed_quartic, laguerre_single_seed_row,
@@ -115,11 +110,11 @@ def test_03_laguerre_recurrence_tables():
     D = IndexSet("L", (1,), ())
     for g in (F(2), F(7, 3), F(9, 4), F(9, 2)):
         pp = ParamPoint("L", g=g)
+        routes = checks.routes(pp, D, x_from_y(pp, D, Poly.one()))
         for n in range(13):
             want = laguerre_single_seed_row(g, n)
-            assert recurrence_direct(pp, D, Poly.one(), n) == want, (g, n)
-            assert recurrence_via_theta(pp, D, Poly.one(), n) == want, (g, n)
-            assert recurrence_bispectral(pp, D, Poly.one(), n) == want, (g, n)
+            for route, at in routes:
+                assert at(n) == want, (g, n, route)
     _report(3, "Laguerre single-seed tables, three routes, n <= 12", t0,
             budget=5.0)
 
@@ -130,16 +125,15 @@ def test_04_jacobi_recurrence_tables():
     for g, h in ((F(7, 3), F(9, 4)), (F(3), F(5, 2)), (F(13, 5), F(7, 2)),
                  (F(5, 2), F(2, 3))):
         pp = ParamPoint("J", g=g, h=h)
+        X = x_from_y(pp, D, Poly.one())
+        routes = checks.routes(pp, D, X)
         for n in range(11):
             want = jacobi_single_seed_row(g, h, n)
-            assert recurrence_direct(pp, D, Poly.one(), n) == want, (g, h, n)
-            assert recurrence_via_theta(pp, D, Poly.one(), n) == want, \
-                (g, h, n)
-            assert recurrence_bispectral(pp, D, Poly.one(), n) == want, \
-                (g, h, n)
+            for route, at in routes:
+                assert at(n) == want, (g, h, n, route)
         # matrix route: the image bandwidth is 2, so every entry three or
         # more rows below the diagonal must cancel exactly
-        flat = flat_map(theta_op(pp, D, Poly.one()), pp)
+        flat = flat_map(theta_op(pp, D, X), pp)
         for n in range(14):
             assert min(flat.column(n)) >= n - 2, (g, h, n)
     _report(4, "Jacobi single-seed tables, three routes, n <= 10", t0,
@@ -178,12 +172,12 @@ def test_06_recurrence_closure_battery():
         for D in (IndexSet(pp.family, (1,), ()),
                   IndexSet(pp.family, (1,), (2,))):
             with pytest.raises(NotPolynomial):
-                theta_from_x(pp, D, ETA)    # X' = 1 is no multiple of Xi
+                theta_op(pp, D, ETA)    # X' = 1 is no multiple of Xi
             # square-free X' of the right degree but the wrong polynomial
             xprime = Poly([1] + [0] * (D.ell - 1) + [1])  # eta^ell + 1
             assert xprime.monic() != xi_poly(pp, D).monic()
             with pytest.raises(NotPolynomial):
-                theta_from_x(pp, D, integrate_from_zero(xprime))
+                theta_op(pp, D, integrate_from_zero(xprime))
     _report(6, "closure over 84 index sets x 3 seeds Y, n <= 8", t0,
             budget=120.0)
 

@@ -28,7 +28,7 @@ from mipoly.diffop import DiffOp
 from mipoly.exact import ParamPoint, Poly, rat_str
 from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import IndexSet, _seed_wronskian, mi_poly
-from mipoly.recurrence import recurrence_direct, theta_op
+from mipoly.recurrence import recurrence_direct, theta_op, x_from_y
 
 from oracles import GaugedFn, clear_library_caches
 
@@ -362,6 +362,17 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def test_raw_x_builds_theta_once(capsys, monkeypatch):
+    # the admissibility check and every operator row share one Theta
+    clear_library_caches()
+    composed = _counted(monkeypatch, DiffOp, "compose")
+    code, _ = run_json(capsys, ["recurrence", "--family", "L", "--g", "7/3",
+                                "--indices", "1I", "--raw-X", "0,17/6,1/2",
+                                "--nmax", "3"])
+    assert code == 0
+    assert len(composed) == 1
+
+
 def test_recurrence_builds_x_once(capsys, monkeypatch):
     # the document, Theta and every row of the direct route share one X
     import mipoly.recurrence as recurrence
@@ -414,8 +425,8 @@ def test_recurrence_gates_a_vanishing_pi_with_a_nonzero_member(capsys):
 def test_recurrence_names_route_witness(capsys, monkeypatch):
     real = shiftalg.recurrence_bispectral
 
-    def perturbed(pp, D, Y, n):
-        row = real(pp, D, Y, n)
+    def perturbed(pp, D, X, n):
+        row = real(pp, D, X, n)
         return {**row, 1: row[1] + 1} if n == 3 else row
 
     monkeypatch.setattr(shiftalg, "recurrence_bispectral", perturbed)
@@ -424,7 +435,8 @@ def test_recurrence_names_route_witness(capsys, monkeypatch):
     assert code == 1
     row = [c for c in doc["checks"] if c["name"] == "route_agreement"][0]
     assert row["status"] == "fail"
-    args = (ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I"), Poly.one(), 3)
+    pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
+    args = (pp, D, x_from_y(pp, D, Poly.one()), 3)
     assert row["detail"] == (
         "direct, operator and matrix routes for n <= 4; 1 of 10 cases fail, "
         f"first at n=3, matrix route: expected {show(real(*args))}, "
@@ -436,15 +448,15 @@ def test_recurrence_decomposition_failure_is_a_witness(capsys, monkeypatch):
     # d alone has no normal form sum_b (u_b + v_b K) H0^b: the matrix
     # route fails as a route_agreement case, not as a traceback
     monkeypatch.setattr(shiftalg, "theta_op",
-                        lambda pp, D, Y: DiffOp([0, Poly.one()]))
+                        lambda pp, D, X: DiffOp([0, Poly.one()]))
     code = main(["recurrence", "--family", "L", "--g", "7/3",
                  "--indices", "1I", "--nmax", "2"])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert code == 1
     assert "Traceback" not in captured.err
-    want = recurrence_direct(ParamPoint("L", g=F(7, 3)),
-                             IndexSet.parse("L", "1I"), Poly.one(), 0)
+    pp, D = ParamPoint("L", g=F(7, 3)), IndexSet.parse("L", "1I")
+    want = recurrence_direct(pp, D, x_from_y(pp, D, Poly.one()), 0)
     assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]] == [
         ("route_agreement", "fail",
          "direct, operator and matrix routes for n <= 2; 3 of 6 cases fail, "
@@ -455,7 +467,7 @@ def test_recurrence_decomposition_failure_is_a_witness(capsys, monkeypatch):
 
 def test_verify_decomposition_failure_is_a_witness(capsys, monkeypatch):
     monkeypatch.setattr(shiftalg, "theta_op",
-                        lambda pp, D, Y: DiffOp([0, Poly.one()]))
+                        lambda pp, D, X: DiffOp([0, Poly.one()]))
     code, doc = run_json(capsys, ["verify", "--suite", "recurrence",
                                   "--samples", "1", "--nmax", "1"])
     assert code == 1
@@ -596,8 +608,8 @@ def test_verify_routes_name_a_coefficient_out_of_band(monkeypatch):
     # every route moves r_(3,2) to k = 3: the routes still agree, so
     # only the band names the row's n
     def shifted(route):
-        def at(pp, D, Y, n):
-            row = dict(route(pp, D, Y, n))
+        def at(pp, D, X, n):
+            row = dict(route(pp, D, X, n))
             if n == 3:
                 row[3] = row.pop(2)
             return row
@@ -616,12 +628,12 @@ def test_verify_routes_name_a_coefficient_out_of_band(monkeypatch):
 def test_verify_routes_name_a_theta_that_is_not_polynomial(monkeypatch):
     # the operator route's NotPolynomial is its row, as a
     # DecompositionFailure is the matrix route's, not a traceback
-    def refused(pp, D, Y):
+    def refused(pp, D, X):
         raise NotPolynomial("coefficient of d^0 has denominator Poly(1*eta)")
 
     monkeypatch.setattr(recurrence, "theta_op", refused)
     (row,) = verify.recurrence([(LG, L1)], [Poly.one()], 1)
-    want = recurrence_direct(LG, L1, Poly.one(), 0)
+    want = recurrence_direct(LG, L1, x_from_y(LG, L1, Poly.one()), 0)
     assert row.detail == (
         "three routes agree, in the band |k| <= 2, for n <= 1; 2 of 6 cases "
         f"fail, first at n=0, operator route: expected {show(want)}, got "
@@ -1061,9 +1073,10 @@ def test_construct_output_is_pinned(capsys, tmp_path, argv, status,
                    json_sha, text_sha, latex_sha)
 
 
-# the same forms for both golden recurrences, an inadmissible --raw-X and
-# every verify suite; both golden runs pass the same named checks, so
-# their text is the same
+# the same forms for both golden recurrences, an inadmissible --raw-X, an
+# admissible one, one whose direct route leaves a residue at a point the
+# genericity check accepts, and every verify suite; both golden runs pass
+# the same named checks, so their text is the same
 _RECURRENCE_VERIFY_PINNED = [
     (["recurrence", "--family", "L", "--g", "2", "--indices", "1I"],
      0, "6da859ba8515ab103366027cf1914ff054fa7195ea680c6bdb33c94cd95c3e74",
@@ -1079,6 +1092,16 @@ _RECURRENCE_VERIFY_PINNED = [
      1, "d764b5c764094bc5405355847bf07d94ce577401624dcc77e7e07c38307ce1fd",
      "806fd263fd678456d32ef540dd42af428185784de695c65ffdf244e225c91a4e",
      "5ce046c049814e9787fc74f92ddc9a2ff23e97401ea52f9c53fd2221fbf860d4"),
+    (["recurrence", "--family", "L", "--g", "7/3", "--indices", "1I",
+      "--raw-X", "0,17/6,1/2", "--nmax", "5"],
+     0, "d7f8f218f97a7fcda1f8cde0f45839df38e6a73fdfa121be05676bd5bf7460db",
+     "e1b9b9d31eaf330084f4b7aa2d76d4d9333081504b5561911b5382c2de649db0",
+     "d9121ae871e6f539a554e92f0940ae1d6329093db6e743c3d325287719327089"),
+    (["recurrence", "--family", "L", "--g", "-1/2", "--indices", "1I",
+      "--raw-X", "0,1", "--nmax", "2"],
+     1, "94c253c0dd9ce138bc5bc8f676f335df8f7fadf63f7d873b8602a75e283b89ea",
+     "a5f8b650688949c8442600793236d6caab5dfb77a4140c4b4918d6cc03bd7bc7",
+     "b5e9c1495da952ea2284f6e5fcc6ad1a33e09c63d4f8e86c6bc2114447ca88d9"),
     (["verify", "--suite", "all", "--samples", "1", "--nmax", "2"],
      0, "48ee96b57718b7921d05c02a26154c8422e2205ee0eeecd1acf9d393a81647ad",
      "d7a98bacd791f532b832d70ac0d39ed1c460838398056a80fe42da7c9d17e248",
@@ -1088,7 +1111,9 @@ _RECURRENCE_VERIFY_PINNED = [
 
 @pytest.mark.parametrize("argv,status,json_sha,text_sha,latex_sha",
                          _RECURRENCE_VERIFY_PINNED,
-                         ids=["L-golden", "J-golden", "raw-X", "verify"])
+                         ids=["L-golden", "J-golden", "raw-X",
+                              "raw-X-admissible", "raw-X-residue",
+                              "verify"])
 def test_recurrence_and_verify_output_is_pinned(
         capsys, tmp_path, argv, status, json_sha, text_sha, latex_sha):
     _assert_pinned(capsys, tmp_path, argv, status, json_sha, text_sha,

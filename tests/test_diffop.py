@@ -24,7 +24,7 @@ from mipoly.diffop import (
 from mipoly.gauged import NotPolynomial
 from mipoly.mindexed import (IndexSet, _seed_wronskian, mi_poly, mj_function,
                              xi_poly)
-from mipoly.recurrence import theta_op
+from mipoly.recurrence import theta_op, x_from_y
 
 from oracles import op_add, op_derivative, op_sub
 
@@ -152,7 +152,7 @@ def test_trivial_index_set_gives_identity():
 def test_operator_denominators(pp, D):
     # Fhat and Theta are polynomial; Bhat's one denominator divides Xi^M
     assert forward_op(pp, D).den == Poly.one()
-    assert theta_op(pp, D, Poly.one()).den == Poly.one()
+    assert theta_op(pp, D, x_from_y(pp, D, Poly.one())).den == Poly.one()
     _, rem = poly_divmod(xi_poly(pp, D) ** D.size, backward_op(pp, D).den)
     assert rem.is_zero()
 

@@ -67,7 +67,6 @@ NOT_ENTERED = {
     "mindexed._degree_mismatch": GUARD,
     "recurrence.in_deformed_span": BOUNDARY_ZERO,
     "shiftalg.column_action": BENCHMARK_REPAIR,
-    "shiftalg.OpMatrix.__add__": BENCHMARK_REPAIR,
     "shiftalg.flat_map": BENCHMARK_REPAIR,
 }
 

@@ -4,11 +4,11 @@ The two routes are computationally independent -- one never leaves the
 deformed basis, the other conjugates through the classical family -- so
 their agreement over a battery of index sets, seed polynomials Y and
 degrees n is a strong correctness check on every layer below; that check
-is ``verify``'s recurrence suite, which the acceptance battery runs.
-Here, the degree-1 denominator examples have fully explicit closed-form
-coefficients which both routes must reproduce, and inadmissible X's must
-fail loudly (NotPolynomial from the operator route, NonzeroRemainder from
-the direct route).
+is ``verify``'s recurrence suite, which the acceptance battery runs, as
+it runs every route against the closed-form single-seed tables.  Here,
+X and Theta are pinned for single seeds, and inadmissible X's must fail
+loudly (NotPolynomial from the operator route, NonzeroRemainder from the
+direct route).
 """
 
 import sys
@@ -34,13 +34,11 @@ from mipoly.recurrence import (
     recurrence_direct,
     recurrence_order,
     recurrence_via_theta,
-    theta_from_x,
     theta_op,
     x_from_y,
 )
 
-from oracles import (jacobi_single_seed_row, laguerre_single_seed_row,
-                     span_solve_deformed)
+from oracles import span_solve_deformed
 
 F = Fraction
 
@@ -75,8 +73,8 @@ def test_x_from_y_pinned():
 
 @pytest.mark.parametrize("g", [F(7, 3), F(11, 4)])
 def test_theta_pinned_single_laguerre_seed(g):
-    pp = ParamPoint("L", g=g)
-    theta = theta_op(pp, IndexSet("L", (1,), ()), Poly.one())
+    pp, D = ParamPoint("L", g=g), IndexSet("L", (1,), ())
+    theta = theta_op(pp, D, x_from_y(pp, D, Poly.one()))
     gp = g + F(1, 2)
     expect = DiffOp([
         Poly([0, 4 * (g + F(3, 2)) ** 2, 2 * (g + F(7, 2))]),
@@ -116,7 +114,7 @@ def test_theta_single_type1_seed_reduction(pp, D, Y):
             -Poly([b, a + 1]) * X + one_m * xi * Y,
             one_m * X,
         ])
-    assert theta_op(pp, D, Y) == quarter.left_mul(-4)
+    assert theta_op(pp, D, X) == quarter.left_mul(-4)
 
 
 # -- membership ------------------------------------------------------------
@@ -156,37 +154,17 @@ def test_recurrence_order_values():
     assert recurrence_order(IndexSet("J", (1, 2), ()), Poly([1, 0, 1])) == 5
 
 
-@pytest.mark.parametrize("g", [F(7, 3), F(9, 2)])
-def test_closed_form_coefficients_single_laguerre_seed(g):
-    pp = ParamPoint("L", g=g)
-    D = IndexSet("L", (1,), ())
-    for n in range(5):
-        want = laguerre_single_seed_row(g, n)
-        assert recurrence_direct(pp, D, Poly.one(), n) == want, n
-        assert recurrence_via_theta(pp, D, Poly.one(), n) == want, n
-
-
-@pytest.mark.parametrize("g,h", [(F(7, 3), F(9, 4)), (F(5, 2), F(2, 3))])
-def test_closed_form_coefficients_single_jacobi_seed(g, h):
-    pp = ParamPoint("J", g=g, h=h)
-    D = IndexSet("J", (1,), ())
-    for n in range(5):
-        want = jacobi_single_seed_row(g, h, n)
-        assert recurrence_direct(pp, D, Poly.one(), n) == want, n
-        assert recurrence_via_theta(pp, D, Poly.one(), n) == want, n
-
-
 # -- inadmissible inputs fail loudly ---------------------------------------
 
 
 def test_inadmissible_x_raises_not_polynomial():
     D = IndexSet("L", (1,), ())
     with pytest.raises(NotPolynomial):
-        theta_from_x(LG, D, ETA)
+        theta_op(LG, D, ETA)
     # the first coefficient left with a denominator is named, reduced
     DJ = IndexSet("J", (1,), (2,))
     with pytest.raises(NotPolynomial) as info:
-        theta_from_x(JG, DJ, Poly([0, 0, 1]))
+        theta_op(JG, DJ, Poly([0, 0, 1]))
     assert str(info.value) == (
         "coefficient of d^0 has denominator Poly(63218401/67650625 + "
         "-702932008/67650625*eta + 514586252/13530125*eta^2 + "
@@ -208,8 +186,10 @@ def test_admissible_theta_reads_no_coefficient(pp, label, monkeypatch):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+    D = IndexSet.parse(pp.family, label)
+    X = x_from_y(pp, D, Poly.one())
     monkeypatch.setattr(DiffOp, "coeffs", property(forbidden))
-    theta = theta_op(pp, IndexSet.parse(pp.family, label), Poly.one())
+    theta = theta_op(pp, D, X)
     assert theta.is_polynomial() and theta.order > 0
 
 
@@ -257,14 +237,15 @@ def test_degenerate_parameter_vanishing_member():
     # refuses, and neighbouring relations close without the lost term.
     pp = ParamPoint("L", g=F(-1, 2))
     D = IndexSet("L", (1,), (2,))
+    X = x_from_y(pp, D, Poly.one())
     assert pi_factor(pp, D, 3) == 0
     assert mi_poly(pp, D, 3, check_leading=False).is_zero()
-    assert recurrence_via_theta(pp, D, Poly.one(), 3) == {}
+    assert recurrence_via_theta(pp, D, X, 3) == {}
     with pytest.raises(DegenerateLeading):
-        recurrence_direct(pp, D, Poly.one(), 3)
-    coeffs = recurrence_via_theta(pp, D, Poly.one(), 2)
+        recurrence_direct(pp, D, X, 3)
+    coeffs = recurrence_via_theta(pp, D, X, 2)
     assert 1 not in coeffs  # the n + k = 3 term is gone
-    lhs = x_from_y(pp, D, Poly.one()) * mi_poly(pp, D, 2)
+    lhs = X * mi_poly(pp, D, 2)
     rhs = Poly.zero()
     for k, c in coeffs.items():
         rhs = rhs + c * mi_poly(pp, D, 2 + k, check_leading=False)
@@ -289,13 +270,13 @@ def _assert_integer_coeffs(op: DiffOp, scale: int, label):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_integrality_laguerre_two_seed(g):
-    pp = ParamPoint("L", g=F(g))
-    theta = theta_op(pp, IndexSet("L", (1,), (2,)), Poly.one())
+    pp, D = ParamPoint("L", g=F(g)), IndexSet("L", (1,), (2,))
+    theta = theta_op(pp, D, x_from_y(pp, D, Poly.one()))
     _assert_integer_coeffs(theta, 120, f"g={g}")
 
 
 @pytest.mark.parametrize("g,h", [(7, 2), (3, 6), (3, 7), (8, 2)])
 def test_integrality_jacobi_two_seed(g, h):
-    pp = ParamPoint("J", g=F(g), h=F(h))
-    theta = theta_op(pp, IndexSet("J", (1,), (2,)), Poly.one())
+    pp, D = ParamPoint("J", g=F(g), h=F(h)), IndexSet("J", (1,), (2,))
+    theta = theta_op(pp, D, x_from_y(pp, D, Poly.one()))
     _assert_integer_coeffs(theta, 960, f"g={g},h={h}")

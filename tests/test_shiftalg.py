@@ -7,7 +7,8 @@ never touches the matrix layer.  On top sit the commutator identity on
 every column, the closed-form power formulas, the order-reversal of
 the operator-to-matrix translation, and finally the matrix route to the
 recurrence coefficients, which has to agree entrywise with the direct
-expansion route and reproduce the explicit closed-form tables.
+expansion route (the acceptance battery checks every route against the
+explicit closed-form tables).
 """
 
 import sys
@@ -27,7 +28,8 @@ from mipoly.families import (
 )
 from mipoly.mindexed import IndexSet
 import mipoly.shiftalg as shiftalg
-from mipoly.recurrence import recurrence_direct, recurrence_order, theta_op
+from mipoly.recurrence import (recurrence_direct, recurrence_order, theta_op,
+                               x_from_y)
 from mipoly.shiftalg import (
     DecompositionFailure,
     NormalOrderedShift,
@@ -47,7 +49,7 @@ from mipoly.shiftalg import (
 from mipoly.verify import (commutator_check, power_formulas_check,
                            star_identities_check)
 
-from oracles import laguerre_single_seed_row, op_add, op_derivative
+from oracles import matrix_add, op_add, op_derivative
 
 F = Fraction
 
@@ -221,7 +223,8 @@ def test_translation_reverses_products(pp):
     dmat, gmat = delta_matrix(pp), gamma_matrix(pp)
     same_order = dmat * gmat
     for n in range(9):
-        assert flat_fg.column(n) == (same_order + IDENTITY).column(n), n
+        assert flat_fg.column(n) == \
+            matrix_add(same_order, IDENTITY).column(n), n
         assert flat_fg.column(n) != same_order.column(n), n
         assert flat_fg.column(n) == (gmat * dmat).column(n), n
 
@@ -248,8 +251,8 @@ def _product_flat(theta, pp):
             continue
         inner = _scalar(cj.coeffs[-1])
         for coeff in reversed(cj.coeffs[:-1]):
-            inner = delta * inner + _scalar(coeff)
-        total = total + inner * gpow
+            inner = matrix_add(delta * inner, _scalar(coeff))
+        total = matrix_add(total, inner * gpow)
     return total
 
 
@@ -257,7 +260,8 @@ def _product_flat(theta, pp):
 def test_column_action_matches_dense_products(pp):
     # two-seed Theta: the column action packed by flat_map must agree
     # with the products of the eta- and derivative columns
-    theta = theta_op(pp, IndexSet(pp.family, (1,), (2,)), Poly.one())
+    D = IndexSet(pp.family, (1,), (2,))
+    theta = theta_op(pp, D, x_from_y(pp, D, Poly.one()))
     flat, product = flat_map(theta, pp), _product_flat(theta, pp)
     for n in range(10):
         assert flat.column(n) == product.column(n), n
@@ -270,12 +274,13 @@ def test_matrix_route_returns_whole_column(monkeypatch):
     # an operator wider than the recurrence order: its outer entries
     # surface as extra keys instead of being cut to |k| <= L
     D = IndexSet("L", (1,), ())
-    assert recurrence_order(D, Poly.one()) == 2
+    X = x_from_y(LG, D, Poly.one())
+    assert X.degree == 2
     monkeypatch.setattr(shiftalg, "theta_op",
-                        lambda pp, D, Y: DiffOp([ETA ** 3]))
-    got = recurrence_bispectral(LG, D, Poly.one(), 4)
+                        lambda pp, D, X: DiffOp([ETA ** 3]))
+    got = recurrence_bispectral(LG, D, X, 4)
     assert {-3, 3} <= set(got)
-    assert got != recurrence_direct(LG, D, Poly.one(), 4)
+    assert got != recurrence_direct(LG, D, X, 4)
 
 
 @pytest.mark.parametrize("pp", [LG, JG])
@@ -285,14 +290,7 @@ def test_empty_set_reduces_to_three_term_recurrence(pp):
         A, B, C = recurrence_abc(pp, n)
         want = {k: v for k, v in ((1, A), (0, B), (-1, C))
                 if v != 0 and n + k >= 0}
-        assert recurrence_bispectral(pp, D, Poly.one(), n) == want
-
-
-def test_closed_form_rows_single_laguerre_seed():
-    D = IndexSet("L", (1,), ())
-    for n in range(11):
-        assert recurrence_bispectral(LG, D, Poly.one(), n) == \
-            laguerre_single_seed_row(LG.g, n), n
+        assert recurrence_bispectral(pp, D, ETA, n) == want
 
 
 # -- the bispectral normal form and the banded route --------------------------
@@ -310,7 +308,8 @@ BANDED_CASES = [  # (index set, Y, nmax): 1-3 seeds, Y in {1, eta, 1 + eta^2}
 @pytest.mark.parametrize("label,Y,nmax", BANDED_CASES,
                          ids=[case[0] for case in BANDED_CASES])
 def test_banded_columns_equal_column_action(pp, label, Y, nmax):
-    theta = theta_op(pp, IndexSet.parse(pp.family, label), Y)
+    D = IndexSet.parse(pp.family, label)
+    theta = theta_op(pp, D, x_from_y(pp, D, Y))
     for n in range(nmax + 1):
         assert banded_column(theta, pp, n) == column_action(theta, pp, n), n
 
@@ -320,7 +319,8 @@ def test_banded_columns_equal_column_action(pp, label, Y, nmax):
                          ids=["1I", "1I,2II"])
 def test_normal_form_recomposes_theta(pp, label, Y):
     # sum_b (u_b + v_b K) H0^b rebuilt with DiffOp.compose is Theta again
-    theta = theta_op(pp, IndexSet.parse(pp.family, label), Y)
+    D = IndexSet.parse(pp.family, label)
+    theta = theta_op(pp, D, x_from_y(pp, D, Y))
     u, v = normal_form(theta, pp)
     c1, c2 = schrodinger_c1(pp), schrodinger_c2(pp)
     h0, k = DiffOp([0, c1, c2]), DiffOp([0, c2])
@@ -331,7 +331,7 @@ def test_normal_form_recomposes_theta(pp, label, Y):
             total = op_add(total, k.compose(power).left_mul(v[b]))
         power = h0.compose(power)
     assert total == theta
-    L = recurrence_order(IndexSet.parse(pp.family, label), Y)
+    L = recurrence_order(D, Y)
     assert {p.degree for p in u} == {L} and {p.degree for p in v} == {L - 1}
 
 
@@ -360,8 +360,9 @@ def test_decomposition_failure_names_order_and_divisor(pp, divisor):
 def test_matrix_route_is_derivative_free(monkeypatch):
     # the banded route reads Theta and A_m, B_m, C_m, E_m only: no
     # derivative expansion and none of the other routes' expansions
-    D, Y = IndexSet("J", (1,), (2,)), ETA
-    theta_op(JG, D, Y)                       # built before the patches
+    D = IndexSet("J", (1,), (2,))
+    X = x_from_y(JG, D, ETA)
+    theta_op(JG, D, X)                       # built before the patches
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the matrix route must not call this")
@@ -372,6 +373,6 @@ def test_matrix_route_is_derivative_free(monkeypatch):
                          "mi_poly"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
-    got = [recurrence_bispectral(JG, D, Y, n) for n in range(6)]
+    got = [recurrence_bispectral(JG, D, X, n) for n in range(6)]
     monkeypatch.undo()
-    assert got == [recurrence_direct(JG, D, Y, n) for n in range(6)]
+    assert got == [recurrence_direct(JG, D, X, n) for n in range(6)]
